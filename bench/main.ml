@@ -187,6 +187,7 @@ let commit_section () =
         j_field "wal_records" (j_int p.wal_records);
         j_field "wal_flushes" (j_int p.wal_flushes);
         j_field "mean_batch" (j_num p.mean_batch);
+        j_field "ratp_retrans" (j_int p.retrans);
         j_field "sim_ms" (j_num p.sim_ms);
       ]
   in

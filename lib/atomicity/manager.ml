@@ -356,13 +356,19 @@ let commit t st =
   let grouped, frames = collect_writes t st in
   match st.scope with
   | Global ->
+      (* redo images travel and are logged compact: the participant
+         keeps them as they arrive and its store expands them *)
+      let prepare (home, writes) =
+        let writes =
+          List.map
+            (fun (seg, page, data) -> (seg, page, Ra.Page.compact data))
+            writes
+        in
+        (home, P.Prepare { txn = st.txn; writes })
+      in
       let all_yes =
         Obs.Tracer.with_span "2pc.prepare" (fun () ->
-            participant_rpcs t st.coord
-              (List.map
-                 (fun (home, writes) ->
-                   (home, P.Prepare { txn = st.txn; writes }))
-                 grouped)
+            participant_rpcs t st.coord (List.map prepare grouped)
             |> List.for_all (fun vote ->
                    match vote with
                    | Ok (P.Vote true) -> true

@@ -14,7 +14,9 @@ end)
 
 (* What a participant remembers about a prepared transaction: the
    page images to apply at commit, and (under group commit) the
-   before-images recovery needs to undo a crash-window apply. *)
+   before-images recovery needs to undo a crash-window apply.  Both
+   stay in the {!Ra.Page.compact} encoding they were logged in; the
+   store expands them when they are applied. *)
 type prep_entry = {
   writes : P.write_set;
   undo : (Ra.Sysname.t * int * bytes option) list;
@@ -466,7 +468,7 @@ let handle_prepare t txn writes =
               Hashtbl.add seen (seg, page) ();
               let before =
                 match Store.Segment_store.read_page t.store seg page with
-                | Ra.Partition.Data b -> Some (Store.Wal.trim_image b)
+                | Ra.Partition.Data b -> Some (Ra.Page.compact b)
                 | Ra.Partition.Zeroed -> None
               in
               Some (seg, page, before)

@@ -2,8 +2,10 @@
 
     All coherence, locking, directory and commit traffic between
     compute servers (DSM clients) and data servers (DSM servers) uses
-    these RaTP message bodies.  Sizes model an 8K page plus headers
-    where page data is carried. *)
+    these RaTP message bodies.  Sizes model headers plus the page
+    data as carried: page traffic ships full 8K pages, while the
+    commit path ([Prepare], and the [Mirror_writes] a commit forwards)
+    carries {!Ra.Page.compact} images. *)
 
 (** Transactions are named by their coordinating node and a per-node
     sequence number. *)
@@ -12,7 +14,9 @@ type txn_id = { tnode : int; tseq : int }
 type lock_kind = R | W
 
 type write_set = (Ra.Sysname.t * int * bytes) list
-(** (segment, page index, page image) triples. *)
+(** (segment, page index, page image) triples.  An image may be a
+    full page or a {!Ra.Page.compact} one; the data server's store
+    expands the latter when it applies it. *)
 
 type Ratp.Packet.body +=
   | Get_page of {
@@ -62,6 +66,8 @@ type Ratp.Packet.body +=
   | Unregister_object of Ra.Sysname.t
   | Registered
   | Prepare of { txn : txn_id; writes : write_set }
+      (** redo images in the {!Ra.Page.compact} encoding; the
+          participant logs and keeps them as they arrive *)
   | Vote of bool
   | Commit of { txn : txn_id }
   | Abort of { txn : txn_id }

@@ -52,6 +52,9 @@ type point = {
   wal_records : int;  (** log records written, all servers *)
   wal_flushes : int;  (** group flushes (0 with the daemon off) *)
   mean_batch : float;  (** records per group flush *)
+  retrans : int;
+      (** RaTP request retransmissions, all nodes, over the measured
+          transactions (warm-up excluded) *)
   sim_ms : float;
   wall_s : float;
 }
@@ -146,7 +149,7 @@ let ether_config =
 
 let run_cell ?(seed = 42) (c : cell) =
   let wall0 = Unix.gettimeofday () in
-  let lat, retries, sim_ms, wal_records, wal_flushes, mean_batch =
+  let lat, retries, sim_ms, wal_records, wal_flushes, mean_batch, retrans =
     Sim.exec ~seed (fun () ->
         let eng = Sim.engine () in
         let sys =
@@ -179,6 +182,13 @@ let run_cell ?(seed = 42) (c : cell) =
         let retries = ref 0 in
         let warmed = ref 0 in
         let finished = ref 0 in
+        let retransmissions () =
+          Array.fold_left
+            (fun acc n -> acc + Ratp.Endpoint.retransmissions n.Ra.Node.endpoint)
+            0
+            (Array.append cl.Cl.data_nodes cl.Cl.compute_nodes)
+        in
+        let retrans_at_go = ref 0 and retrans = ref 0 in
         let go_ivar = Sim.Ivar.create () in
         let done_ivar = Sim.Ivar.create () in
         let rec with_retry tries f =
@@ -214,8 +224,10 @@ let run_cell ?(seed = 42) (c : cell) =
                    Sim.sleep (Sim.Time.us (i * 3100));
                    txn ();
                    incr warmed;
-                   if !warmed = c.clients then
-                     Sim.Ivar.fill go_ivar (Sim.now ());
+                   if !warmed = c.clients then begin
+                     retrans_at_go := retransmissions ();
+                     Sim.Ivar.fill go_ivar (Sim.now ())
+                   end;
                    let t_start = Sim.Ivar.read go_ivar in
                    for _ = 1 to c.txns_per_client do
                      let t0 = Sim.now () in
@@ -223,10 +235,12 @@ let run_cell ?(seed = 42) (c : cell) =
                      Sim.Stats.hadd_span lat (Sim.Time.diff (Sim.now ()) t0)
                    done;
                    incr finished;
-                   if !finished = c.clients then
+                   if !finished = c.clients then begin
+                     retrans := retransmissions () - !retrans_at_go;
                      Sim.Ivar.fill done_ivar
                        (Sim.Time.to_ms_f
-                          (Sim.Time.diff (Sim.now ()) t_start)))))
+                          (Sim.Time.diff (Sim.now ()) t_start))
+                   end)))
           sessions;
         let sim_ms = Sim.Ivar.read done_ivar in
         let sum f =
@@ -248,7 +262,7 @@ let run_cell ?(seed = 42) (c : cell) =
         let mean_batch =
           if flushes = 0 then 0.0 else batched /. float_of_int flushes
         in
-        (lat, !retries, sim_ms, records, flushes, mean_batch))
+        (lat, !retries, sim_ms, records, flushes, mean_batch, !retrans))
   in
   let wall_s = Unix.gettimeofday () -. wall0 in
   {
@@ -263,6 +277,7 @@ let run_cell ?(seed = 42) (c : cell) =
     wal_records;
     wal_flushes;
     mean_batch;
+    retrans;
     sim_ms;
     wall_s;
   }
@@ -436,13 +451,14 @@ let run_crash ?(seed = 42) () =
 let summary p =
   Printf.sprintf
     "%s clients=%d fp=%d %s: %d commits p50=%.2fms p95=%.2fms mean=%.2fms \
-     tput=%.0f/s recs=%d flushes=%d batch=%.1f sim=%.0fms wall=%.2fs retry=%d"
+     tput=%.0f/s recs=%d flushes=%d batch=%.1f retrans=%d sim=%.0fms \
+     wall=%.2fs retry=%d"
     p.cell.label p.cell.clients p.cell.footprint
     (match p.cell.window with
     | None -> "force-each"
     | Some w -> Printf.sprintf "window=%.1fms" (Sim.Time.to_ms_f w))
     p.committed p.p50_ms p.p95_ms p.mean_ms p.throughput p.wal_records
-    p.wal_flushes p.mean_batch p.sim_ms p.wall_s p.retries
+    p.wal_flushes p.mean_batch p.retrans p.sim_ms p.wall_s p.retries
 
 let report points =
   Report.table

@@ -9,6 +9,13 @@ val zero : unit -> bytes
 
 val copy : bytes -> bytes
 
+val compact : bytes -> bytes
+(** The compact image encoding: a fresh copy of the page minus its
+    trailing zeros.  Data pages are sparse (an account page holds a
+    few words), so this is what a page image costs in a log record or
+    a commit message.  [Store.Segment_store.write_page] is the one
+    place a compact image is expanded back to a full page. *)
+
 val index_of : int -> int
 (** Page index containing a byte offset. *)
 

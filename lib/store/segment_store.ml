@@ -50,9 +50,21 @@ let read_page t seg page =
   | Some data -> Ra.Partition.Data (Ra.Page.copy data)
   | None -> Ra.Partition.Zeroed
 
+(* The single expansion point for {!Ra.Page.compact} images: whatever
+   the caller hands in (a full page, or a commit-path image trimmed of
+   its trailing zeros), the store keeps a full zero-padded page. *)
+let expand data =
+  let n = Bytes.length data in
+  if n >= Ra.Page.size then Ra.Page.copy data
+  else begin
+    let full = Ra.Page.zero () in
+    Bytes.blit data 0 full 0 n;
+    full
+  end
+
 let write_page ?lsn t seg page data =
   if not (exists t seg) then raise (Ra.Partition.No_segment seg);
-  Hashtbl.replace t.pages (seg, page) (Ra.Page.copy data);
+  Hashtbl.replace t.pages (seg, page) (expand data);
   match lsn with
   | Some l -> Hashtbl.replace t.lsns (seg, page) l
   | None -> ()

@@ -74,28 +74,10 @@ let create ?group_commit ?spawn disk =
 
 let group_commit t = t.gc <> None
 
-(* Before-images are logged physiologically: the page's trailing
-   zeros are dropped, and restore pads the image back out to a full
-   page.  Data pages are sparse in practice (an account page carries
-   a few words), so the undo side of a prepare record costs bytes
-   proportional to what the page actually holds — without this,
-   steal/no-force would double every prepare's transfer time for
-   8 KB of zeros. *)
-let trim_image b =
-  let n = ref (Bytes.length b) in
-  while !n > 0 && Bytes.get b (!n - 1) = '\000' do
-    decr n
-  done;
-  Bytes.sub b 0 !n
-
-let pad_image b =
-  if Bytes.length b >= Ra.Page.size then b
-  else begin
-    let full = Bytes.make Ra.Page.size '\000' in
-    Bytes.blit b 0 full 0 (Bytes.length b);
-    full
-  end
-
+(* Records are charged by what they hold.  Page images on the commit
+   path (redo and undo alike) arrive in the {!Ra.Page.compact}
+   encoding, so a prepare of a sparse page costs a few dozen bytes,
+   not 8 KB of zeros. *)
 let prep_bytes p =
   64
   + List.fold_left (fun acc (_, _, b) -> acc + Bytes.length b) 0 p.writes
@@ -334,9 +316,7 @@ let recover t store ~decide ~applied =
                   && Segment_store.page_lsn store seg page > horizon
                 then
                   match before with
-                  | Some b ->
-                      Segment_store.write_page store seg page (pad_image b)
-                        ~lsn:0
+                  | Some b -> Segment_store.write_page store seg page b ~lsn:0
                   | None -> Segment_store.clear_page store seg page)
               p.undo
         | None -> ())

@@ -6,6 +6,17 @@
     the outcome; [Checkpoint] records carry the in-doubt transaction
     table so the log before them can be truncated.
 
+    {2 Physiological records}
+
+    Redo and undo images share one encoding, {!Ra.Page.compact}: the
+    page minus its trailing zeros.  The coordinator compacts redo
+    images when it builds the [Prepare] message and the participant
+    compacts before-images when it reads them, so every record holds
+    (and the disk is charged for) only what the pages really contain.
+    The log never expands an image: {!Segment_store.write_page} pads
+    a short image back to a full page, so commit apply, redo, undo
+    restore and in-doubt re-install all pass images straight through.
+
     {2 Group commit}
 
     Created with [~group_commit], the log keeps an in-memory buffer:
@@ -27,11 +38,11 @@
     every record is durable the moment it is logged. *)
 
 type write = Ra.Sysname.t * int * bytes
-(** (segment, page, data) *)
+(** (segment, page, compact redo image) *)
 
 type undo = Ra.Sysname.t * int * bytes option
-(** (segment, page, before-image); [None] = the page had never been
-    written (undo clears it back to zeroed). *)
+(** (segment, page, compact before-image); [None] = the page had
+    never been written (undo clears it back to zeroed). *)
 
 type prep = {
   txn : int * int;  (** (coordinator node, sequence) *)
@@ -49,12 +60,6 @@ type record =
           flowing around it) *)
 
 type group_commit = { window : Sim.Time.span; max_batch : int }
-
-val trim_image : bytes -> bytes
-(** Log encoding for before-images: drop the page's trailing zeros
-    (data pages are sparse, so this is what the undo side of a
-    prepare actually costs on disk).  {!recover} pads restored images
-    back out to a full page. *)
 
 type t
 

@@ -329,8 +329,25 @@ let test_request_bytes_accounting () =
   let ws_bytes = 24 + 8192 + (24 + 100) in
   check_int "Put_batch" (48 + ws_bytes) (P.request_bytes (P.Put_batch ws));
   check_int "Overwrite" (48 + ws_bytes) (P.request_bytes (P.Overwrite ws));
-  check_int "Prepare" (64 + ws_bytes)
-    (P.request_bytes (P.Prepare { txn = { P.tnode = 1; tseq = 1 }; writes = ws }));
+  (* commit-path images travel compact: a sparse page costs its
+     payload, not 8 KB of zeros *)
+  let sparse = Bytes.make Ra.Page.size '\000' in
+  Bytes.blit_string "balance=42" 0 sparse 0 10;
+  let compact = Ra.Page.compact sparse in
+  check_int "Prepare" (64 + 24 + Bytes.length compact)
+    (P.request_bytes
+       (P.Prepare
+          { txn = { P.tnode = 1; tseq = 1 }; writes = [ (seg, 0, compact) ] }));
+  (* page traffic outside the commit path still ships full pages, so
+     the 8K-page transfer calibration does not move *)
+  check_int "Got_page ships a full page" (48 + Ra.Page.size)
+    (P.request_bytes (P.Got_page (Ra.Partition.Data (Ra.Page.copy sparse))));
+  check_int "Put_page ships a full page" (48 + Ra.Page.size)
+    (P.request_bytes (P.Put_page { seg; page = 0; data = sparse }));
+  check_int "Put_batch ships full pages" (48 + 24 + Ra.Page.size)
+    (P.request_bytes (P.Put_batch [ (seg, 0, sparse) ]));
+  check_int "Overwrite ships full pages" (48 + 24 + Ra.Page.size)
+    (P.request_bytes (P.Overwrite [ (seg, 0, sparse) ]));
   check_int "Got_pages"
     (48 + 8192 + (24 + 8192) + (24 + 8192))
     (P.request_bytes

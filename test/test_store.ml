@@ -284,7 +284,7 @@ let test_wal_undo_crash_window () =
            {
              txn = (1, 1);
              writes = [ (seg, 0, page_of_char 'n') ];
-             undo = [ (seg, 0, Some (Store.Wal.trim_image before)) ];
+             undo = [ (seg, 0, Some (Ra.Page.compact before)) ];
            });
       (* pipelined commit: record in the buffer, page applied, locks
          released — then the crash beats the flush *)
@@ -312,12 +312,156 @@ let test_wal_trim_image () =
   let sparse = Bytes.make Ra.Page.size '\000' in
   Bytes.blit_string "payload" 0 sparse 0 7;
   check_int "sparse page trims to its payload" 7
-    (Bytes.length (Store.Wal.trim_image sparse));
+    (Bytes.length (Ra.Page.compact sparse));
   check_int "all-zero page trims to nothing" 0
-    (Bytes.length (Store.Wal.trim_image (Bytes.make Ra.Page.size '\000')));
+    (Bytes.length (Ra.Page.compact (Bytes.make Ra.Page.size '\000')));
   let full = Bytes.make Ra.Page.size 'x' in
   check_int "dense page keeps every byte" Ra.Page.size
-    (Bytes.length (Store.Wal.trim_image full))
+    (Bytes.length (Ra.Page.compact full));
+  let last = Bytes.make Ra.Page.size '\000' in
+  Bytes.set last (Ra.Page.size - 1) 'z';
+  check_int "non-zero last byte keeps the page" Ra.Page.size
+    (Bytes.length (Ra.Page.compact last));
+  (* a zero word between payload bytes is interior, not trailing *)
+  let gap = Bytes.make Ra.Page.size '\000' in
+  Bytes.set gap 0 'a';
+  Bytes.set gap 21 'b';
+  check_int "interior zero words stay" 22 (Bytes.length (Ra.Page.compact gap));
+  check_int "ragged length, zero tail" 3
+    (Bytes.length (Ra.Page.compact (Bytes.of_string "abc\000\000")));
+  check_int "ragged length, dense" 11
+    (Bytes.length (Ra.Page.compact (Bytes.of_string "abcdefghijk")))
+
+(* Pages that stress the word-at-a-time scan: all-zero, a prefix of
+   random bytes (about half of them zero, so whole zero words appear
+   inside the payload), optionally a non-zero last byte, or dense. *)
+let page_gen =
+  let open QCheck.Gen in
+  let sparse =
+    let* len = int_bound Ra.Page.size in
+    let* body = string_size ~gen:(oneof [ return '\000'; char ]) (return len) in
+    let* last = bool in
+    let b = Bytes.make Ra.Page.size '\000' in
+    Bytes.blit_string body 0 b 0 len;
+    if last then Bytes.set b (Ra.Page.size - 1) '\255';
+    return b
+  in
+  let dense =
+    map Bytes.of_string
+      (string_size ~gen:(map Char.chr (int_range 1 255)) (return Ra.Page.size))
+  in
+  frequency
+    [ (1, return (Bytes.make Ra.Page.size '\000')); (6, sparse); (1, dense) ]
+
+let page_arb =
+  QCheck.make
+    ~print:(fun b ->
+      Printf.sprintf "page with compact length %d"
+        (Bytes.length (Ra.Page.compact b)))
+    page_gen
+
+let prop_compact_roundtrip =
+  QCheck.Test.make ~name:"compact then store round-trips" ~count:200 page_arb
+    (fun b ->
+      let c = Ra.Page.compact b in
+      let s = Store.Segment_store.create "s" in
+      let seg = Ra.Sysname.fresh seg_gen in
+      Store.Segment_store.create_segment s seg ~size:Ra.Page.size;
+      Store.Segment_store.write_page s seg 0 c;
+      let trimmed =
+        Bytes.length c = 0 || Bytes.get c (Bytes.length c - 1) <> '\000'
+      in
+      match Store.Segment_store.read_page s seg 0 with
+      | Ra.Partition.Data d ->
+          trimmed
+          && Bytes.length d = Ra.Page.size
+          && Bytes.equal d b
+      | Ra.Partition.Zeroed -> false)
+
+(* A loser's undo must not lose the committed image underneath it:
+   the before-image the loser logged is the earlier winner's page,
+   and after the undo the redo pass re-applies the winner's compact
+   image, which the store expands back to exactly the page it was. *)
+let test_wal_undo_then_redo_compact () =
+  Sim.exec (fun () ->
+      let eng = Sim.engine () in
+      let disk = Store.Disk.create "d" in
+      let wal =
+        Store.Wal.create
+          ~group_commit:{ Store.Wal.window = Time.ms 5; max_batch = 64 }
+          ~spawn:(fun name f -> ignore (Sim.Engine.spawn eng name f))
+          disk
+      in
+      let s = Store.Segment_store.create "s" in
+      let seg = Ra.Sysname.fresh seg_gen in
+      Store.Segment_store.create_segment s seg ~size:Ra.Page.size;
+      let winner = Bytes.make Ra.Page.size '\000' in
+      Bytes.blit_string "acct" 0 winner 0 4;
+      Bytes.set winner 1000 '\007';
+      let redo = Ra.Page.compact winner in
+      check_int "winner logged compact" 1001 (Bytes.length redo);
+      Store.Wal.append wal
+        (Store.Wal.Prepared
+           { txn = (1, 1); writes = [ (seg, 0, redo) ]; undo = [] });
+      let lsn = Store.Wal.enqueue wal (Store.Wal.Committed (1, 1)) in
+      Store.Wal.wait_durable wal lsn;
+      Store.Segment_store.write_page s seg 0 redo ~lsn;
+      (* the loser prepares durably, logging the winner's page as its
+         before-image; its commit record dies in the buffer *)
+      let before =
+        match Store.Segment_store.read_page s seg 0 with
+        | Ra.Partition.Data b -> Some (Ra.Page.compact b)
+        | Ra.Partition.Zeroed -> None
+      in
+      let loser = Ra.Page.compact (Bytes.make Ra.Page.size 'L') in
+      Store.Wal.append wal
+        (Store.Wal.Prepared
+           {
+             txn = (1, 2);
+             writes = [ (seg, 0, loser) ];
+             undo = [ (seg, 0, before) ];
+           });
+      let lsn2 = Store.Wal.enqueue wal (Store.Wal.Committed (1, 2)) in
+      Store.Segment_store.write_page s seg 0 loser ~lsn:lsn2;
+      let applied = ref [] in
+      let (_ : Store.Wal.prep list) =
+        Store.Wal.recover wal s
+          ~decide:(fun txn -> if txn = (1, 2) then `Abort else `Commit)
+          ~applied
+      in
+      Alcotest.(check (list (pair int int))) "winner redone" [ (1, 1) ] !applied;
+      match Store.Segment_store.read_page s seg 0 with
+      | Ra.Partition.Data d ->
+          check_bool "winner's page, byte for byte" true (Bytes.equal d winner)
+      | Ra.Partition.Zeroed -> Alcotest.fail "page lost")
+
+(* A prepare record holds its images as they arrived, and the log
+   disk is charged exactly that: a 64-byte header per record plus the
+   compact lengths. *)
+let test_wal_record_bytes_compact () =
+  Sim.exec (fun () ->
+      let disk = Store.Disk.create "d" in
+      let wal = Store.Wal.create disk in
+      let seg = Ra.Sysname.fresh seg_gen in
+      let page = Bytes.make Ra.Page.size '\000' in
+      Bytes.blit_string "balance" 0 page 0 7;
+      let prep =
+        {
+          Store.Wal.txn = (1, 1);
+          writes = [ (seg, 0, Ra.Page.compact page) ];
+          undo = [ (seg, 0, Some (Ra.Page.compact page)); (seg, 1, None) ];
+        }
+      in
+      let charged r =
+        let c = Store.Disk.bytes_counter disk in
+        let before = Sim.Stats.value c in
+        Store.Wal.append wal r;
+        Sim.Stats.value c - before
+      in
+      check_int "prepared" (64 + 7 + 7) (charged (Store.Wal.Prepared prep));
+      check_int "outcome" 64 (charged (Store.Wal.Committed (1, 1)));
+      check_int "checkpoint" (64 + 64 + 7 + 7)
+        (charged (Store.Wal.Checkpoint [ prep ])))
 
 (* ------------------------------------------------------------------ *)
 (* Directory *)
@@ -376,6 +520,14 @@ let () =
           Alcotest.test_case "crash-window undo" `Quick
             test_wal_undo_crash_window;
           Alcotest.test_case "before-image trim" `Quick test_wal_trim_image;
+          Alcotest.test_case "undo then compact redo" `Quick
+            test_wal_undo_then_redo_compact;
+          Alcotest.test_case "records charge compact bytes" `Quick
+            test_wal_record_bytes_compact;
+        ] );
+      ( "compact",
+        [
+          QCheck_alcotest.to_alcotest prop_compact_roundtrip;
         ] );
       ("directory", [ Alcotest.test_case "crud" `Quick test_directory ]);
     ]
