@@ -117,9 +117,7 @@ let j_arr items = "[" ^ String.concat ", " items ^ "]"
 (* The "obs" section: one traced run of the CI-sized load cell.  The
    tracer only reads the sim clock, so everything here — span counts,
    the critical-path stage decomposition, the metrics-registry
-   rollup — is as deterministic as the rest of ["simulated"].  The
-   same object is also written alone to BENCH_obs.json so bench-diff
-   can pin it against its own committed baseline. *)
+   rollup — is as deterministic as the rest of ["simulated"]. *)
 let obs_section () =
   let r =
     Experiments.Trace_run.run ~cell:(List.hd Experiments.Load.smoke_cells) ()
@@ -162,8 +160,7 @@ let obs_section () =
    deterministic kill-mid-commit recovery scenario.  Only
    simulated-time metrics are emitted (the point's wall-clock field
    is deliberately dropped), so the object is byte-stable across
-   hosts; like obs it is also written alone, to BENCH_commit.json,
-   for bench-diff's third baseline. *)
+   hosts. *)
 let commit_section () =
   let points = Experiments.Commit.run () in
   let o = Experiments.Commit.run_crash () in
@@ -217,9 +214,7 @@ let commit_section () =
    §17 — scoped invalidation counts (one-copy vs release), shared
    counters (one-copy vs commutative) and the F1 sort under both
    arbitrated modes.  Pure fixed-seed simulated metrics, so the
-   object is byte-stable across hosts; like obs and commit it is
-   also written alone, to BENCH_consistency.json, for bench-diff's
-   fourth baseline. *)
+   object is byte-stable across hosts. *)
 let consistency_section ~quick () =
   let r =
     Experiments.Consistency.run
@@ -299,7 +294,6 @@ let simulated_metrics ~quick =
   let pb =
     Experiments.Page_batching.run
       ~windows:(if quick then [ 0; 8 ] else [ 0; 2; 8 ])
-      ~flush_sizes:(if quick then [ 1; 16 ] else [ 1; 4; 16 ])
       ()
   in
   let tr =
@@ -328,7 +322,6 @@ let simulated_metrics ~quick =
   let obs = obs_section () in
   let commit = commit_section () in
   let consistency = consistency_section ~quick () in
-  let simulated =
   let fanout_points ps =
     j_arr
       (List.map
@@ -338,273 +331,241 @@ let simulated_metrics ~quick =
              [
                j_field "copyset" (j_int p.copyset);
                j_field "suspects" (j_int p.suspects);
-               j_field "serial_ms" (j_num p.serial_ms);
                j_field "parallel_ms" (j_num p.parallel_ms);
              ])
          ps)
   in
-  j_obj
-    [
-      j_field "t1_kernel"
-        (j_obj
-           [
-             j_field "context_switch_ms" (j_num t1.Experiments.T1_kernel.context_switch_ms);
-             j_field "fault_zero_fill_ms" (j_num t1.fault_zero_fill_ms);
-             j_field "fault_data_ms" (j_num t1.fault_data_ms);
-             j_field "samples" (j_int t1.samples);
-           ]);
-      j_field "t2_network"
-        (j_obj
-           [
-             j_field "eth_rtt_ms" (j_num t2.Experiments.T2_network.eth_rtt_ms);
-             j_field "ratp_rtt_ms" (j_num t2.ratp_rtt_ms);
-             j_field "page_ratp_ms" (j_num t2.page_ratp_ms);
-             j_field "page_ftp_ms" (j_num t2.page_ftp_ms);
-             j_field "page_nfs_ms" (j_num t2.page_nfs_ms);
-             j_field "samples" (j_int t2.samples);
-           ]);
-      j_field "t3_invocation"
-        (j_obj
-           [
-             j_field "warm_ms" (j_num t3.Experiments.T3_invocation.warm_ms);
-             j_field "cold_ms" (j_num t3.cold_ms);
-             j_field "locality_avg_ms" (j_num t3.locality_avg_ms);
-           ]);
-      j_field "f1_sort"
-        (j_obj
-           [
-             j_field "elements" (j_int f1.Experiments.F1_sort.elements);
-             j_field "points"
-               (j_arr
-                  (List.map
-                     (fun p ->
-                       j_obj
-                         [
-                           j_field "workers" (j_int p.Experiments.F1_sort.workers);
-                           j_field "total_ms" (j_num p.total_ms);
-                           j_field "speedup" (j_num p.speedup);
-                           j_field "page_moves" (j_int p.page_moves);
-                         ])
-                     f1.points));
-           ]);
-      j_field "f2_consistency"
-        (j_obj
-           [
-             j_field "modes"
-               (j_arr
-                  (List.map
-                     (fun m ->
-                       j_obj
-                         [
-                           j_field "mode" (j_str m.Experiments.F2_consistency.mode);
-                           j_field "mean_ms" (j_num m.mean_ms);
-                           j_field "throughput_per_s" (j_num m.throughput_per_s);
-                           j_field "lock_rpcs" (j_int m.lock_rpcs);
-                         ])
-                     f2.Experiments.F2_consistency.modes));
-             j_field "spans"
-               (j_arr
-                  (List.map
-                     (fun s ->
-                       j_obj
-                         [
-                           j_field "objects_touched"
-                             (j_int s.Experiments.F2_consistency.objects_touched);
-                           j_field "servers_involved" (j_int s.servers_involved);
-                           j_field "mean_ms" (j_num s.mean_ms);
-                         ])
-                     f2.spans));
-           ]);
-      j_field "f3_pet"
-        (j_obj
-           [
-             j_field "replicas" (j_int f3.Experiments.F3_pet.replicas);
-             j_field "quorum" (j_int f3.quorum);
-             j_field "points"
-               (j_arr
-                  (List.map
-                     (fun p ->
-                       j_obj
-                         [
-                           j_field "parallel" (j_int p.Experiments.F3_pet.parallel);
-                           j_field "completion_rate" (j_num p.completion_rate);
-                           j_field "mean_thread_ms" (j_num p.mean_thread_ms);
-                         ])
-                     f3.points));
-           ]);
-      j_field "write_fault_fanout"
-        (j_obj
-           [
-             j_field "rtt_ms" (j_num wf.Experiments.Write_fault_fanout.rtt_ms);
-             j_field "baseline_ms" (j_num wf.baseline_ms);
-             j_field "healthy" (fanout_points wf.healthy);
-             j_field "suspected" (fanout_points wf.suspected);
-           ]);
-      j_field "page_batching"
-        (j_obj
-           [
-             j_field "scans"
-               (j_arr
-                  (List.map
-                     (fun s ->
-                       let open Experiments.Page_batching in
-                       j_obj
-                         [
-                           j_field "window" (j_int s.window);
-                           j_field "sequential" (string_of_bool s.sequential);
-                           j_field "fetch_rpcs" (j_int s.fetch_rpcs);
-                           j_field "prefetched" (j_int s.prefetched);
-                           j_field "scan_ms" (j_num s.scan_ms);
-                         ])
-                     pb.Experiments.Page_batching.scans));
-             j_field "flushes"
-               (j_arr
-                  (List.map
-                     (fun f ->
-                       let open Experiments.Page_batching in
-                       j_obj
-                         [
-                           j_field "pages" (j_int f.pages);
-                           j_field "serial_ms" (j_num f.serial_ms);
-                           j_field "batched_ms" (j_num f.batched_ms);
-                           j_field "serial_rpcs" (j_int f.serial_rpcs);
-                           j_field "batched_rpcs" (j_int f.batched_rpcs);
-                         ])
-                     pb.flushes));
-           ]);
-      j_field "membership"
-        (j_obj
-           [
-             j_field "arms"
-               (j_arr
-                  (List.map
-                     (fun o ->
-                       let open Experiments.Membership in
-                       j_obj
-                         [
-                           j_field "arm" (j_str o.arm);
-                           j_field "replication" (j_int o.replication);
-                           j_field "kills" (j_int o.kills);
-                           j_field "ops" (j_int o.ops);
-                           j_field "oks" (j_int o.oks);
-                           j_field "retried" (j_int o.retried);
-                           j_field "failed" (j_int o.failed);
-                           j_field "detect_ms" (j_num o.detect_ms);
-                           j_field "unavail_ms" (j_num o.unavail_ms);
-                           j_field "reheal_ms" (j_num o.reheal_ms);
-                           j_field "pages_copied" (j_int o.pages_copied);
-                           j_field "lost_writes" (j_int o.lost_writes);
-                           j_field "final_epoch" (j_int o.final_epoch);
-                           j_field "trace" (j_str o.trace);
-                         ])
-                     mem));
-           ]);
-      j_field "transport"
-        (j_obj
-           [
-             j_field "points"
-               (j_arr
-                  (List.map
-                     (fun p ->
-                       let open Experiments.Transport in
-                       j_obj
-                         [
-                           j_field "loss_pct" (j_int p.loss_pct);
-                           j_field "size" (j_int p.size);
-                           j_field "selective" (string_of_bool p.selective);
-                           j_field "adaptive" (string_of_bool p.adaptive);
-                           j_field "oks" (j_int p.oks);
-                           j_field "timeouts" (j_int p.timeouts);
-                           j_field "elapsed_ms" (j_num p.elapsed_ms);
-                           j_field "retrans" (j_int p.retrans);
-                           j_field "retrans_bytes" (j_int p.retrans_bytes);
-                           j_field "nacks" (j_int p.nacks);
-                           j_field "rto_ms" (j_num p.rto_ms);
-                         ])
-                     tr.Experiments.Transport.points));
-             j_field "bypass"
-               (let b = tr.Experiments.Transport.bypass in
-                j_obj
-                  [
-                    j_field "invocations"
-                      (j_int b.Experiments.Transport.invocations);
-                    j_field "local_ms" (j_num b.local_ms);
-                    j_field "remote_ms" (j_num b.remote_ms);
-                    j_field "local_invokes" (j_int b.local_invokes);
-                  ]);
-           ]);
-      j_field "obs" obs;
-      j_field "commit" commit;
-      j_field "consistency" consistency;
-      j_field "load"
-        (j_obj
-           [
-             j_field "cells"
-               (j_arr
-                  (List.map
-                     (fun p ->
-                       let open Experiments.Load in
-                       j_obj
-                         [
-                           j_field "label" (j_str p.cell.label);
-                           j_field "sharded" (string_of_bool p.cell.sharded);
-                           j_field "data" (j_int p.cell.data);
-                           j_field "compute" (j_int p.cell.compute);
-                           j_field "clients" (j_int p.cell.clients);
-                           j_field "rate" (j_num p.cell.rate);
-                           j_field "invocations" (j_int p.cell.invocations);
-                           j_field "write_pct" (j_int p.cell.write_pct);
-                           j_field "completed" (j_int p.completed);
-                           j_field "misses" (j_int p.misses);
-                           j_field "retries" (j_int p.retries);
-                           j_field "p50_ms" (j_num p.p50_ms);
-                           j_field "p95_ms" (j_num p.p95_ms);
-                           j_field "p99_ms" (j_num p.p99_ms);
-                           j_field "mean_ms" (j_num p.mean_ms);
-                           j_field "throughput" (j_num p.throughput);
-                           j_field "sim_ms" (j_num p.sim_ms);
-                         ])
-                     load));
-           ]);
-    ]
-  in
-  (simulated, obs, commit, consistency)
+  [
+    j_field "t1_kernel"
+      (j_obj
+         [
+           j_field "context_switch_ms" (j_num t1.Experiments.T1_kernel.context_switch_ms);
+           j_field "fault_zero_fill_ms" (j_num t1.fault_zero_fill_ms);
+           j_field "fault_data_ms" (j_num t1.fault_data_ms);
+           j_field "samples" (j_int t1.samples);
+         ]);
+    j_field "t2_network"
+      (j_obj
+         [
+           j_field "eth_rtt_ms" (j_num t2.Experiments.T2_network.eth_rtt_ms);
+           j_field "ratp_rtt_ms" (j_num t2.ratp_rtt_ms);
+           j_field "page_ratp_ms" (j_num t2.page_ratp_ms);
+           j_field "page_ftp_ms" (j_num t2.page_ftp_ms);
+           j_field "page_nfs_ms" (j_num t2.page_nfs_ms);
+           j_field "samples" (j_int t2.samples);
+         ]);
+    j_field "t3_invocation"
+      (j_obj
+         [
+           j_field "warm_ms" (j_num t3.Experiments.T3_invocation.warm_ms);
+           j_field "cold_ms" (j_num t3.cold_ms);
+           j_field "locality_avg_ms" (j_num t3.locality_avg_ms);
+         ]);
+    j_field "f1_sort"
+      (j_obj
+         [
+           j_field "elements" (j_int f1.Experiments.F1_sort.elements);
+           j_field "points"
+             (j_arr
+                (List.map
+                   (fun p ->
+                     j_obj
+                       [
+                         j_field "workers" (j_int p.Experiments.F1_sort.workers);
+                         j_field "total_ms" (j_num p.total_ms);
+                         j_field "speedup" (j_num p.speedup);
+                         j_field "page_moves" (j_int p.page_moves);
+                       ])
+                   f1.points));
+         ]);
+    j_field "f2_consistency"
+      (j_obj
+         [
+           j_field "modes"
+             (j_arr
+                (List.map
+                   (fun m ->
+                     j_obj
+                       [
+                         j_field "mode" (j_str m.Experiments.F2_consistency.mode);
+                         j_field "mean_ms" (j_num m.mean_ms);
+                         j_field "throughput_per_s" (j_num m.throughput_per_s);
+                         j_field "lock_rpcs" (j_int m.lock_rpcs);
+                       ])
+                   f2.Experiments.F2_consistency.modes));
+           j_field "spans"
+             (j_arr
+                (List.map
+                   (fun s ->
+                     j_obj
+                       [
+                         j_field "objects_touched"
+                           (j_int s.Experiments.F2_consistency.objects_touched);
+                         j_field "servers_involved" (j_int s.servers_involved);
+                         j_field "mean_ms" (j_num s.mean_ms);
+                       ])
+                   f2.spans));
+         ]);
+    j_field "f3_pet"
+      (j_obj
+         [
+           j_field "replicas" (j_int f3.Experiments.F3_pet.replicas);
+           j_field "quorum" (j_int f3.quorum);
+           j_field "points"
+             (j_arr
+                (List.map
+                   (fun p ->
+                     j_obj
+                       [
+                         j_field "parallel" (j_int p.Experiments.F3_pet.parallel);
+                         j_field "completion_rate" (j_num p.completion_rate);
+                         j_field "mean_thread_ms" (j_num p.mean_thread_ms);
+                       ])
+                   f3.points));
+         ]);
+    j_field "write_fault_fanout"
+      (j_obj
+         [
+           j_field "rtt_ms" (j_num wf.Experiments.Write_fault_fanout.rtt_ms);
+           j_field "baseline_ms" (j_num wf.baseline_ms);
+           j_field "healthy" (fanout_points wf.healthy);
+           j_field "suspected" (fanout_points wf.suspected);
+         ]);
+    j_field "page_batching"
+      (j_obj
+         [
+           j_field "scans"
+             (j_arr
+                (List.map
+                   (fun s ->
+                     let open Experiments.Page_batching in
+                     j_obj
+                       [
+                         j_field "window" (j_int s.window);
+                         j_field "sequential" (string_of_bool s.sequential);
+                         j_field "fetch_rpcs" (j_int s.fetch_rpcs);
+                         j_field "prefetched" (j_int s.prefetched);
+                         j_field "scan_ms" (j_num s.scan_ms);
+                       ])
+                   pb.Experiments.Page_batching.scans));
+         ]);
+    j_field "membership"
+      (j_obj
+         [
+           j_field "arms"
+             (j_arr
+                (List.map
+                   (fun o ->
+                     let open Experiments.Membership in
+                     j_obj
+                       [
+                         j_field "arm" (j_str o.arm);
+                         j_field "replication" (j_int o.replication);
+                         j_field "kills" (j_int o.kills);
+                         j_field "ops" (j_int o.ops);
+                         j_field "oks" (j_int o.oks);
+                         j_field "retried" (j_int o.retried);
+                         j_field "failed" (j_int o.failed);
+                         j_field "detect_ms" (j_num o.detect_ms);
+                         j_field "unavail_ms" (j_num o.unavail_ms);
+                         j_field "reheal_ms" (j_num o.reheal_ms);
+                         j_field "pages_copied" (j_int o.pages_copied);
+                         j_field "lost_writes" (j_int o.lost_writes);
+                         j_field "final_epoch" (j_int o.final_epoch);
+                         j_field "trace" (j_str o.trace);
+                       ])
+                   mem));
+         ]);
+    j_field "transport"
+      (j_obj
+         [
+           j_field "points"
+             (j_arr
+                (List.map
+                   (fun p ->
+                     let open Experiments.Transport in
+                     j_obj
+                       [
+                         j_field "loss_pct" (j_int p.loss_pct);
+                         j_field "size" (j_int p.size);
+                         j_field "selective" (string_of_bool p.selective);
+                         j_field "adaptive" (string_of_bool p.adaptive);
+                         j_field "oks" (j_int p.oks);
+                         j_field "timeouts" (j_int p.timeouts);
+                         j_field "elapsed_ms" (j_num p.elapsed_ms);
+                         j_field "retrans" (j_int p.retrans);
+                         j_field "retrans_bytes" (j_int p.retrans_bytes);
+                         j_field "nacks" (j_int p.nacks);
+                         j_field "rto_ms" (j_num p.rto_ms);
+                       ])
+                   tr.Experiments.Transport.points));
+           j_field "bypass"
+             (let b = tr.Experiments.Transport.bypass in
+              j_obj
+                [
+                  j_field "invocations"
+                    (j_int b.Experiments.Transport.invocations);
+                  j_field "local_ms" (j_num b.local_ms);
+                  j_field "remote_ms" (j_num b.remote_ms);
+                  j_field "local_invokes" (j_int b.local_invokes);
+                ]);
+         ]);
+    j_field "obs" obs;
+    j_field "commit" commit;
+    j_field "consistency" consistency;
+    j_field "load"
+      (j_obj
+         [
+           j_field "cells"
+             (j_arr
+                (List.map
+                   (fun p ->
+                     let open Experiments.Load in
+                     j_obj
+                       [
+                         j_field "label" (j_str p.cell.label);
+                         j_field "sharded" (string_of_bool p.cell.sharded);
+                         j_field "data" (j_int p.cell.data);
+                         j_field "compute" (j_int p.cell.compute);
+                         j_field "clients" (j_int p.cell.clients);
+                         j_field "rate" (j_num p.cell.rate);
+                         j_field "invocations" (j_int p.cell.invocations);
+                         j_field "write_pct" (j_int p.cell.write_pct);
+                         j_field "completed" (j_int p.completed);
+                         j_field "misses" (j_int p.misses);
+                         j_field "retries" (j_int p.retries);
+                         j_field "p50_ms" (j_num p.p50_ms);
+                         j_field "p95_ms" (j_num p.p95_ms);
+                         j_field "p99_ms" (j_num p.p99_ms);
+                         j_field "mean_ms" (j_num p.mean_ms);
+                         j_field "throughput" (j_num p.throughput);
+                         j_field "sim_ms" (j_num p.sim_ms);
+                       ])
+                   load));
+         ]);
+  ]
 
+(* One top-level ["simulated"] section per line, so a drift shows up
+   in [diff] as the lines of the sections that moved, each naming its
+   section.  ["wall_clock"] is the only host-dependent part and sits
+   alone on the last line, where bench-diff strips it. *)
 let write_json ~quick path =
-  let simulated, obs, commit, consistency = simulated_metrics ~quick in
+  let simulated = simulated_metrics ~quick in
   let wall =
     bechamel_estimates ~quota_s:(if quick then 0.5 else 2.0) ()
     |> List.map (fun (name, ms) ->
            j_obj [ j_field "name" (j_str name); j_field "ms_per_run" (j_num ms) ])
   in
-  let doc =
-    j_obj
-      [
-        j_field "schema" (j_str "clouds-bench/v1");
-        j_field "seed" (j_int 42);
-        j_field "quick" (string_of_bool quick);
-        j_field "simulated" simulated;
-        j_field "wall_clock" (j_arr wall);
-      ]
-  in
-  let dump p s =
-    let oc = open_out p in
-    output_string oc s;
-    output_char oc '\n';
-    close_out oc
-  in
-  dump path doc;
-  (* the obs, commit and consistency sections alone, for bench-diff's
-     second through fourth baselines: none has a wall_clock suffix,
-     so the comparisons are straight cmps *)
-  dump "BENCH_obs.json" obs;
-  dump "BENCH_commit.json" commit;
-  dump "BENCH_consistency.json" consistency;
-  Printf.printf
-    "wrote %s, BENCH_obs.json, BENCH_commit.json and BENCH_consistency.json \
-     (%s sizes)\n"
-    path
-    (if quick then "quick" else "full")
+  let oc = open_out path in
+  Printf.fprintf oc "{%s, %s, %s,\n %S: {\n  %s\n },\n %s}\n"
+    (j_field "schema" (j_str "clouds-bench/v1"))
+    (j_field "seed" (j_int 42))
+    (j_field "quick" (string_of_bool quick))
+    "simulated"
+    (String.concat ",\n  " simulated)
+    (j_field "wall_clock" (j_arr wall));
+  close_out oc;
+  Printf.printf "wrote %s (%s sizes)\n" path (if quick then "quick" else "full")
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in

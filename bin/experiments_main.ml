@@ -58,10 +58,8 @@ let run_one ~quick id =
            (Experiments.Write_fault_fanout.run ~sizes ()))
   | "batching" | "pb" ->
       let windows = if quick then [ 0; 8 ] else [ 0; 2; 8 ] in
-      let flush_sizes = if quick then [ 1; 16 ] else [ 1; 4; 16 ] in
       print_string
-        (Experiments.Page_batching.report
-           (Experiments.Page_batching.run ~windows ~flush_sizes ()))
+        (Experiments.Page_batching.report (Experiments.Page_batching.run ~windows ()))
   | "transport" | "tr" ->
       let losses = if quick then [ 0; 5 ] else [ 0; 1; 5; 10 ] in
       let sizes = if quick then [ 1400; 65536 ] else [ 1400; 8192; 65536 ] in

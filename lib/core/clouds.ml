@@ -29,13 +29,11 @@ type system = {
   om : Object_manager.t;
 }
 
-let boot eng ?params ?ratp_config ?ether_config ?replication
-    ?group_commit_window ?wal_max_batch ?checkpoint_every ?default_consistency
-    ~compute ~data ~workstations () =
+let boot eng ?ratp_config ?ether_config ?replication ?group_commit_window
+    ?checkpoint_every ~compute ~data ~workstations () =
   let cluster =
-    Cluster.create eng ?params ?ratp_config ?ether_config ?replication
-      ?group_commit_window ?wal_max_batch ?checkpoint_every
-      ?default_consistency ~compute ~data ~workstations ()
+    Cluster.create eng ?ratp_config ?ether_config ?replication
+      ?group_commit_window ?checkpoint_every ~compute ~data ~workstations ()
   in
   let om = Object_manager.create cluster in
   { cluster; om }

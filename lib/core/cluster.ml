@@ -1,7 +1,6 @@
 type t = {
   eng : Sim.Engine.t;
   ether : Net.Ethernet.t;
-  params : Ra.Params.t;
   replication : int;
   compute_nodes : Ra.Node.t array;
   clients : Dsm.Dsm_client.t array;
@@ -14,7 +13,6 @@ type t = {
   seg_replicas : Net.Address.t list Ra.Sysname.Table.t;
   seg_modes : Ra.Partition.consistency Ra.Sysname.Table.t;
       (* per-segment consistency mode; absent = One_copy *)
-  default_consistency : Ra.Partition.consistency;
   obj_home : Net.Address.t Ra.Sysname.Table.t;
   volatile : (int, unit Ra.Sysname.Table.t) Hashtbl.t;
   mutable scheduler : [ `Round_robin | `Least_loaded ];
@@ -135,11 +133,8 @@ let volatile_partition =
     writeback = (fun ~seg:_ ~page:_ _ -> ());
   }
 
-let create eng ?(params = Ra.Params.default) ?ratp_config ?ether_config
-    ?batch_io ?prefetch_window ?(replication = 1) ?group_commit_window
-    ?wal_max_batch ?checkpoint_every
-    ?(default_consistency = Ra.Partition.One_copy) ~compute ~data ~workstations
-    () =
+let create eng ?ratp_config ?ether_config ?(replication = 1)
+    ?group_commit_window ?checkpoint_every ~compute ~data ~workstations () =
   if compute < 1 || data < 1 then
     invalid_arg "Cluster.create: need at least one compute and one data server";
   if replication < 1 then invalid_arg "Cluster.create: replication < 1";
@@ -157,33 +152,29 @@ let create eng ?(params = Ra.Params.default) ?ratp_config ?ether_config
   in
   let data_nodes =
     Array.init data (fun i ->
-        Ra.Node.create ether ~id:(i + 1) ~kind:Ra.Node.Data ~params
-          ?ratp_config ())
+        Ra.Node.create ether ~id:(i + 1) ~kind:Ra.Node.Data ?ratp_config ())
   in
   let servers =
     Array.map
       (fun n ->
-        Dsm.Dsm_server.create n ?group_commit_window ?wal_max_batch
-          ?checkpoint_every ())
+        Dsm.Dsm_server.create n ?group_commit_window ?checkpoint_every ())
       data_nodes
   in
   let compute_nodes =
     Array.init compute (fun i ->
-        Ra.Node.create ether ~id:(data + i + 1) ~kind:Ra.Node.Compute ~params
+        Ra.Node.create ether ~id:(data + i + 1) ~kind:Ra.Node.Compute
           ?ratp_config ())
   in
   let clients =
     Array.map
-      (fun n ->
-        Dsm.Dsm_client.create n ~locate ~consistency ?batch_io
-          ?prefetch_window ())
+      (fun n -> Dsm.Dsm_client.create n ~locate ~consistency ())
       compute_nodes
   in
   let wk =
     Array.init workstations (fun i ->
         let node =
           Ra.Node.create ether ~id:(data + compute + i + 1)
-            ~kind:Ra.Node.Workstation ~params ?ratp_config ()
+            ~kind:Ra.Node.Workstation ?ratp_config ()
         in
         let term = Terminal.create ~wid:node.Ra.Node.id in
         User_io.install node term;
@@ -193,7 +184,6 @@ let create eng ?(params = Ra.Params.default) ?ratp_config ?ether_config
     {
       eng;
       ether;
-      params;
       replication;
       compute_nodes;
       clients;
@@ -205,7 +195,6 @@ let create eng ?(params = Ra.Params.default) ?ratp_config ?ether_config
       seg_home = Ra.Sysname.Table.create 64;
       seg_replicas = Ra.Sysname.Table.create 64;
       seg_modes = Ra.Sysname.Table.create 16;
-      default_consistency;
       obj_home = Ra.Sysname.Table.create 64;
       volatile = Hashtbl.create 16;
       scheduler = `Round_robin;

@@ -13,7 +13,6 @@
 type t = {
   eng : Sim.Engine.t;
   ether : Net.Ethernet.t;
-  params : Ra.Params.t;
   replication : int;
       (** target copies per segment (1 = the historical single-home
           configuration; no mirror traffic at all) *)
@@ -31,9 +30,6 @@ type t = {
           no entry live only at their [seg_home] *)
   seg_modes : Ra.Partition.consistency Ra.Sysname.Table.t;
       (** per-segment consistency mode; absent = [One_copy] *)
-  default_consistency : Ra.Partition.consistency;
-      (** mode given to object segments created without an explicit
-          [?consistency] *)
   obj_home : Net.Address.t Ra.Sysname.Table.t;
   volatile : (int, unit Ra.Sysname.Table.t) Hashtbl.t;
   mutable scheduler : [ `Round_robin | `Least_loaded ];
@@ -71,35 +67,28 @@ type t = {
 
 val create :
   Sim.Engine.t ->
-  ?params:Ra.Params.t ->
   ?ratp_config:Ratp.Endpoint.config ->
   ?ether_config:Net.Ethernet.config ->
-  ?batch_io:bool ->
-  ?prefetch_window:int ->
   ?replication:int ->
   ?group_commit_window:Sim.Time.span ->
-  ?wal_max_batch:int ->
   ?checkpoint_every:Sim.Time.span ->
-  ?default_consistency:Ra.Partition.consistency ->
   compute:int ->
   data:int ->
   workstations:int ->
   unit ->
   t
 (** Build and boot a cluster.  Requires at least one compute and one
-    data server.  [batch_io] and [prefetch_window] are forwarded to
-    every {!Dsm.Dsm_client.create} (batched segment flush; fault-ahead
-    window); [group_commit_window], [wal_max_batch] and
-    [checkpoint_every] to every {!Dsm.Dsm_server.create} (batched WAL
-    flushes, pipelined commits and fuzzy checkpoints — default off,
-    keeping the historical force-per-record commit path).
-    [replication] (default 1) is the target
-    number of data servers holding each segment: primaries forward
-    committed writes to the backups, and the replicator re-creates
-    lost copies when membership condemns a server.
-    [default_consistency] (default [One_copy]) is the mode new object
-    segments get when {!Object_manager.create_object} is not given an
-    explicit one. *)
+    data server.  Every node runs the paper's calibration
+    ({!Ra.Params.default}), and every {!Dsm.Dsm_client.create} the
+    default client (batched segment flush, no fault-ahead).
+    [group_commit_window] and [checkpoint_every] are forwarded to
+    every {!Dsm.Dsm_server.create} (batched WAL flushes, pipelined
+    commits and fuzzy checkpoints — default off, keeping the
+    historical force-per-record commit path).  [replication]
+    (default 1) is the target number of data servers holding each
+    segment: primaries forward committed writes to the backups, and
+    the replicator re-creates lost copies when membership condemns a
+    server. *)
 
 val consistency_of : t -> Ra.Sysname.t -> Ra.Partition.consistency
 (** A segment's consistency mode ([One_copy] when never set); every

@@ -153,7 +153,7 @@ let rec activate t node obj =
       (* building the object space costs kernel work, and the first
          dispatch pulls in the code segment plus the heads of the
          persistent data (entry vector and object header) *)
-      Ra.Isiba.compute node t.cl.Cluster.params.Ra.Params.activation_setup;
+      Ra.Isiba.compute node node.Ra.Node.params.Ra.Params.activation_setup;
       for page = 0 to cls.Obj_class.code_pages - 1 do
         ignore
           (Ra.Mmu.read node.Ra.Node.mmu vs
@@ -291,7 +291,7 @@ and invoke t ~node ~thread_id ~origin ~txn ~obj ~entry arg =
   start_daemons t node a obj;
   Sim.Stats.incr t.invoke_count;
   record_visit t thread_id obj;
-  Ra.Isiba.compute node t.cl.Cluster.params.Ra.Params.invoke_setup;
+  Ra.Isiba.compute node node.Ra.Node.params.Ra.Params.invoke_setup;
   touch_code node a entry;
   let ctx = make_ctx t node a ~obj ~thread_id ~origin ~txn in
   let result =
@@ -313,7 +313,7 @@ and invoke t ~node ~thread_id ~origin ~txn ~obj ~entry arg =
                  Dsm.Dsm_client.flush_segment client seg
              | Ra.Partition.One_copy -> ())
            [ a.data_seg; a.heap_seg ]);
-  Ra.Isiba.compute node t.cl.Cluster.params.Ra.Params.invoke_return;
+  Ra.Isiba.compute node node.Ra.Node.params.Ra.Params.invoke_return;
   result
 
 (* Same-node fast lane: dispatching an invocation to the node we are
@@ -402,11 +402,7 @@ let create_object t ?home ?on ?(thread_id = 0) ?origin ?consistency ~class_name
   let targets = Cluster.replica_targets t.cl ~primary:home in
   let data_seg = Ra.Sysname.fresh node.Ra.Node.names in
   let heap_seg = Ra.Sysname.fresh node.Ra.Node.names in
-  let mode =
-    match consistency with
-    | Some m -> m
-    | None -> t.cl.Cluster.default_consistency
-  in
+  let mode = Option.value consistency ~default:Ra.Partition.One_copy in
   (* each segment is created on the primary and every backup; the
      primary forwards committed writes from then on *)
   let mk seg pages =
@@ -473,11 +469,11 @@ let create_object t ?home ?on ?(thread_id = 0) ?origin ?consistency ~class_name
       ignore entry_name;
       let a = activate t node obj in
       start_daemons t node a obj;
-      Ra.Isiba.compute node t.cl.Cluster.params.Ra.Params.invoke_setup;
+      Ra.Isiba.compute node node.Ra.Node.params.Ra.Params.invoke_setup;
       touch_code node a "constructor";
       let ctx = make_ctx t node a ~obj ~thread_id ~origin ~txn:None in
       ignore (wrapped.Obj_class.fn ctx arg);
-      Ra.Isiba.compute node t.cl.Cluster.params.Ra.Params.invoke_return);
+      Ra.Isiba.compute node node.Ra.Node.params.Ra.Params.invoke_return);
   obj
 
 let delete_object t ?on obj =

@@ -34,7 +34,7 @@ val create_object :
     descriptor, and run the constructor (if any) on [on] (default:
     scheduler's choice).  Returns the new object's sysname.
 
-    [consistency] (default {!Cluster.t.default_consistency}) is the
+    [consistency] (default [One_copy]) is the
     coherence mode of the instance's data and heap segments; the
     shared code segment always stays [One_copy]. *)
 

@@ -14,8 +14,6 @@ type t = {
   node : Ra.Node.t;
   locate : Ra.Sysname.t -> Net.Address.t;
   mutable mode_of : Ra.Sysname.t -> Ra.Partition.consistency;
-  local_store : Store.Segment_store.t option;
-  batch_io : bool;
   prefetch_window : int;
   loc_cache : Net.Address.t Ra.Sysname.Table.t;
   streams : stream Ra.Sysname.Table.t;
@@ -276,39 +274,20 @@ let remote_write_batch t ~seg writes =
       forget_location t seg;
       raise (Unavailable seg)
 
-let is_local t seg =
-  match t.local_store with
-  | Some store ->
-      Net.Address.equal (locate_cached t seg) t.node.Ra.Node.id
-      && Store.Segment_store.exists store seg
-  | None -> false
-
 let partition t =
   {
     Ra.Partition.name = Printf.sprintf "dsm-client-%d" t.node.Ra.Node.id;
-    fetch =
-      (fun ~seg ~page ~mode ->
-        match t.local_store with
-        | Some store when is_local t seg ->
-            Store.Segment_store.read_page store seg page
-        | Some _ | None -> remote_fetch t ~seg ~page ~mode);
-    writeback =
-      (fun ~seg ~page data ->
-        match t.local_store with
-        | Some store when is_local t seg ->
-            Store.Segment_store.write_page store seg page data
-        | Some _ | None -> remote_writeback t ~seg ~page data);
+    fetch = (fun ~seg ~page ~mode -> remote_fetch t ~seg ~page ~mode);
+    writeback = (fun ~seg ~page data -> remote_writeback t ~seg ~page data);
   }
 
 let create node ~locate ?(consistency = fun _ -> Ra.Partition.One_copy)
-    ?local_store ?(batch_io = true) ?(prefetch_window = 0) () =
+    ?(prefetch_window = 0) () =
   let t =
     {
       node;
       locate;
       mode_of = consistency;
-      local_store;
-      batch_io;
       prefetch_window;
       loc_cache = Ra.Sysname.Table.create 32;
       streams = Ra.Sysname.Table.create 32;
@@ -464,37 +443,21 @@ let flush_merges t seg op dirty =
       forget_location t seg;
       raise (Unavailable seg)
 
-(* Writeback of a segment's dirty pages: one Put_batch carrying all
-   of them (RaTP fragments it on the wire) instead of one Put_page
-   round trip per page.  [~batch_io:false] keeps the historical
-   serial loop for A/B comparison ({!Experiments.Page_batching}).
-   Relaxed-consistency segments always flush as one RPC: diffs for
-   release mode, merge deltas for commutative. *)
+(* Writeback of a segment's dirty pages as one RPC (RaTP fragments
+   it on the wire): a Put_batch of page images for one-copy segments,
+   diffs for release mode, merge deltas for commutative. *)
 let flush_segment t seg =
   let mmu = t.node.Ra.Node.mmu in
   match Ra.Mmu.dirty_pages mmu seg with
   | [] -> ()
-  | dirty
-    when t.mode_of seg = Ra.Partition.Release && not (is_local t seg) ->
-      flush_release t seg dirty
-  | dirty
-    when (match t.mode_of seg with
-         | Ra.Partition.Commutative _ -> true
-         | _ -> false)
-         && not (is_local t seg) -> (
+  | dirty -> (
       match t.mode_of seg with
+      | Ra.Partition.Release -> flush_release t seg dirty
       | Ra.Partition.Commutative op -> flush_merges t seg op dirty
-      | _ -> assert false)
-  | dirty when t.batch_io && not (is_local t seg) ->
-      remote_write_batch t ~seg
-        (List.map (fun (page, data) -> (seg, page, data)) dirty);
-      List.iter (fun (page, _) -> Ra.Mmu.mark_clean mmu seg page) dirty
-  | dirty ->
-      List.iter
-        (fun (page, data) ->
-          (partition t).Ra.Partition.writeback ~seg ~page data;
-          Ra.Mmu.mark_clean mmu seg page)
-        dirty
+      | Ra.Partition.One_copy ->
+          remote_write_batch t ~seg
+            (List.map (fun (page, data) -> (seg, page, data)) dirty);
+          List.iter (fun (page, _) -> Ra.Mmu.mark_clean mmu seg page) dirty)
 
 (* Dropping a segment's frames also drops our copyset registrations
    at the home; telling it (one RPC, errors swallowed — this is pure
@@ -506,7 +469,7 @@ let drop_segment t seg =
   let pages = Ra.Mmu.segment_pages mmu seg in
   List.iter (fun p -> Hashtbl.remove t.stale_dirty (seg, p)) pages;
   Ra.Mmu.drop_segment mmu seg;
-  if pages <> [] && not (is_local t seg) then
+  if pages <> [] then
     try
       send_release t ~home:(locate_cached t seg) ~wait:true
         (List.map (fun p -> (seg, p)) pages)

@@ -7,10 +7,10 @@
     node the illusion that every object logically resides locally —
     the paper's distributed shared memory.
 
-    The fast path adds three mechanisms (DESIGN.md §11), each gated
-    for A/B comparison: batched writeback of dirty pages, adaptive
-    fault-ahead prefetch, and a location cache that memoises
-    segment-to-home resolution. *)
+    The fast path adds three mechanisms (DESIGN.md §11): batched
+    writeback of dirty pages, adaptive fault-ahead prefetch (off
+    unless [prefetch_window] is set), and a location cache that
+    memoises segment-to-home resolution. *)
 
 exception Unavailable of Ra.Sysname.t
 (** The segment's data server did not answer (crashed or
@@ -22,20 +22,11 @@ val create :
   Ra.Node.t ->
   locate:(Ra.Sysname.t -> Net.Address.t) ->
   ?consistency:(Ra.Sysname.t -> Ra.Partition.consistency) ->
-  ?local_store:Store.Segment_store.t ->
-  ?batch_io:bool ->
   ?prefetch_window:int ->
   unit ->
   t
 (** Install the DSM client on a node and point the node's MMU at it.
-    [locate] maps a segment to its data server.  When the node is
-    itself a data server, [local_store] serves its own segments
-    without network traffic (a machine with a disk is both a compute
-    and data server).
-
-    [batch_io] (default [true]) makes {!flush_segment} send one
-    [Put_batch] with every dirty page instead of a [Put_page] round
-    trip per page; [false] keeps the serial loop for A/B experiments.
+    [locate] maps a segment to its data server.
 
     [prefetch_window] (default [0], off) caps the fault-ahead window:
     read faults ask the server to ship up to that many adjacent
@@ -64,8 +55,9 @@ val node : t -> Ra.Node.t
 val flush_segment : t -> Ra.Sysname.t -> unit
 (** Write every dirty resident page of the segment back to its data
     server and mark the frames clean (used by s-threads that want
-    their updates stored, and by examples).  One batched RPC per
-    segment when [batch_io] is set. *)
+    their updates stored, and by examples).  One RPC per segment: a
+    [Put_batch] of page images, release-mode diffs or commutative
+    merge deltas. *)
 
 val drop_segment : t -> Ra.Sysname.t -> unit
 (** Locally invalidate all frames of a segment without writing them

@@ -1,11 +1,9 @@
-(* DSM fast-path A/B: batched writeback and fault-ahead prefetch
-   (DESIGN.md §11).
+(* DSM fast-path A/B: fault-ahead prefetch (DESIGN.md §11).
 
    Scans read a 16-page segment page by page — sequentially or in a
    fixed pseudo-random order — under different prefetch windows and
-   count the fetch RPCs that actually cross the wire.  Flushes dirty
-   a growing number of pages and compare the serial per-page
-   writeback against the single Put_batch.
+   count the fetch RPCs that actually cross the wire.  Window 0 is
+   the control: prefetch is off by default.
 
    The cluster here runs a faster interconnect than the calibrated
    1988-vintage default (100 Mbit/s, light per-frame host costs):
@@ -22,15 +20,7 @@ type scan_point = {
   scan_ms : float;
 }
 
-type flush_point = {
-  pages : int;
-  serial_ms : float;
-  batched_ms : float;
-  serial_rpcs : int;
-  batched_rpcs : int;
-}
-
-type result = { scans : scan_point list; flushes : flush_point list }
+type result = { scans : scan_point list }
 
 let seg_pages = 16
 
@@ -52,20 +42,19 @@ let page_image p = Bytes.make Ra.Page.size (Char.chr (97 + (p mod 26)))
 type setup = {
   client : Dsm.Dsm_client.t;
   server : Dsm.Dsm_server.t;
-  seg : Ra.Sysname.t;
   vs : Ra.Virtual_space.t;
   mmu : Ra.Mmu.t;
 }
 
 (* One data server holding a [seg_pages]-page segment with known
    contents, one compute server mapping it. *)
-let setup ~batch_io ~prefetch_window =
+let setup ~prefetch_window =
   let ether = Net.Ethernet.create (Sim.engine ()) ~config:ether_config () in
   let nd = Ra.Node.create ether ~id:1 ~kind:Ra.Node.Data () in
   let server = Dsm.Dsm_server.create nd () in
   let nc = Ra.Node.create ether ~id:2 ~kind:Ra.Node.Compute () in
   let client =
-    Dsm.Dsm_client.create nc ~locate:(fun _ -> 1) ~batch_io ~prefetch_window ()
+    Dsm.Dsm_client.create nc ~locate:(fun _ -> 1) ~prefetch_window ()
   in
   let seg = Ra.Sysname.fresh nd.Ra.Node.names in
   let store = Dsm.Dsm_server.store server in
@@ -77,11 +66,11 @@ let setup ~batch_io ~prefetch_window =
   let vs = Ra.Virtual_space.create () in
   Ra.Virtual_space.map vs ~base:0 ~len:(seg_pages * Ra.Page.size)
     ~prot:Ra.Virtual_space.Read_write seg;
-  { client; server; seg; vs; mmu = nc.Ra.Node.mmu }
+  { client; server; vs; mmu = nc.Ra.Node.mmu }
 
 let measure_scan ~window ~sequential =
   Sim.exec (fun () ->
-      let s = setup ~batch_io:true ~prefetch_window:window in
+      let s = setup ~prefetch_window:window in
       let order =
         if sequential then List.init seg_pages Fun.id else shuffled
       in
@@ -108,25 +97,7 @@ let measure_scan ~window ~sequential =
         scan_ms = Sim.Time.to_ms_f (Sim.Time.diff (Sim.now ()) t0);
       })
 
-let measure_flush ~pages ~batched =
-  Sim.exec (fun () ->
-      let s = setup ~batch_io:batched ~prefetch_window:0 in
-      for p = 0 to pages - 1 do
-        Ra.Mmu.write s.mmu s.vs ~addr:(p * Ra.Page.size)
-          (Bytes.make 64 'w')
-      done;
-      let rpcs0 = Dsm.Dsm_client.put_rpcs s.client in
-      let t0 = Sim.now () in
-      Dsm.Dsm_client.flush_segment s.client s.seg;
-      let ms = Sim.Time.to_ms_f (Sim.Time.diff (Sim.now ()) t0) in
-      (ms, Dsm.Dsm_client.put_rpcs s.client - rpcs0))
-
-let flush_point pages =
-  let serial_ms, serial_rpcs = measure_flush ~pages ~batched:false in
-  let batched_ms, batched_rpcs = measure_flush ~pages ~batched:true in
-  { pages; serial_ms; batched_ms; serial_rpcs; batched_rpcs }
-
-let run ?(windows = [ 0; 2; 8 ]) ?(flush_sizes = [ 1; 4; 16 ]) () =
+let run ?(windows = [ 0; 2; 8 ]) () =
   let scans =
     List.concat_map
       (fun window ->
@@ -135,7 +106,7 @@ let run ?(windows = [ 0; 2; 8 ]) ?(flush_sizes = [ 1; 4; 16 ]) () =
           [ true; false ])
       windows
   in
-  { scans; flushes = List.map flush_point flush_sizes }
+  { scans }
 
 let report r =
   let scan_rows =
@@ -154,23 +125,5 @@ let report r =
         })
       r.scans
   in
-  let flush_rows =
-    List.map
-      (fun p ->
-        {
-          Report.label = Printf.sprintf "flush %d dirty pages" p.pages;
-          paper = "-";
-          measured =
-            Printf.sprintf "%s serial / %s batched" (Report.ms p.serial_ms)
-              (Report.ms p.batched_ms);
-          note =
-            Printf.sprintf "%d vs %d RPCs, %.1fx" p.serial_rpcs p.batched_rpcs
-              (if p.batched_ms > 0.0 then p.serial_ms /. p.batched_ms else 0.0);
-        })
-      r.flushes
-  in
-  Report.table
-    ~title:
-      "Page batching: fault-ahead prefetch and batched writeback (16-page \
-       segment)"
-    (scan_rows @ flush_rows)
+  Report.table ~title:"Page batching: fault-ahead prefetch (16-page segment)"
+    scan_rows

@@ -76,6 +76,20 @@ let transfer_cls =
           Value.Unit);
     ]
 
+(* Three data pages, all stamped by one lcp entry: a Local commit
+   that dirties several pages on one home.  The entry returns its
+   node's completed RaTP transactions once every page is faulted in,
+   so the caller can count the RPCs the commit itself sends. *)
+let wide =
+  Obj_class.define ~name:"wide" ~data_pages:3
+    [
+      Obj_class.entry ~label:Obj_class.Lcp "stamp" (fun ctx arg ->
+          for p = 0 to 2 do
+            Memory.set_int ctx.Ctx.mem (p * Ra.Page.size) (Value.to_int arg + p)
+          done;
+          Value.Int (Ratp.Endpoint.transactions ctx.Ctx.node.Ra.Node.endpoint));
+    ]
+
 type env = {
   sys : Clouds.system;
   mgr : Atomicity.Manager.t;
@@ -108,9 +122,10 @@ let direct env ?(node = env.sys.cluster.Cluster.compute_nodes.(0))
   Object_manager.invoke env.sys.om ~node ~thread_id ~origin:None ~txn:None ~obj
     ~entry arg
 
-(* Read the account's balance straight from its data server's stable
-   store (what survives crashes). *)
-let stored_balance env obj =
+(* Read the account's balance (or the first word of another data
+   page) straight from its data server's stable store (what survives
+   crashes). *)
+let stored_balance ?(page = 0) env obj =
   let home = Ra.Sysname.Table.find env.sys.cluster.Cluster.obj_home obj in
   match Cluster.server_at env.sys.cluster home with
   | None -> Alcotest.fail "no server"
@@ -125,7 +140,7 @@ let stored_balance env obj =
           in
           match
             Store.Segment_store.read_page (Dsm.Dsm_server.store server)
-              data_seg.Store.Directory.seg 0
+              data_seg.Store.Directory.seg page
           with
           | Ra.Partition.Zeroed -> 0
           | Ra.Partition.Data b -> Int64.to_int (Bytes.get_int64_le b 0)))
@@ -248,6 +263,18 @@ let test_lcp_local_consistency () =
       (* lcp commits reached the store without any global lock rpcs *)
       check_int "no lock rpcs" rpcs_before (Atomicity.Manager.lock_rpcs env.mgr);
       check_int "stored" 5 (stored_balance env acct))
+
+let test_lcp_one_put_batch_per_home () =
+  with_env (fun env ->
+      Cluster.register_class env.sys.cluster wide;
+      let obj = Object_manager.create_object env.sys.om ~class_name:"wide" Value.Unit in
+      let n0 = env.sys.cluster.Cluster.compute_nodes.(0) in
+      let before = Value.to_int (direct env ~node:n0 obj "stamp" (Value.Int 7)) in
+      check_int "one Put_batch for three dirty pages" 1
+        (Ratp.Endpoint.transactions n0.Ra.Node.endpoint - before);
+      List.iter
+        (fun p -> check_int "page stored" (7 + p) (stored_balance ~page:p env obj))
+        [ 0; 1; 2 ])
 
 let test_read_only_gcp_releases_locks () =
   with_env (fun env ->
@@ -509,6 +536,8 @@ let () =
             test_gcp_isolation_no_lost_updates;
           Alcotest.test_case "lcp local consistency" `Quick
             test_lcp_local_consistency;
+          Alcotest.test_case "lcp commit sends one put_batch per home" `Quick
+            test_lcp_one_put_batch_per_home;
           Alcotest.test_case "read-only gcp releases locks" `Quick
             test_read_only_gcp_releases_locks;
         ] );

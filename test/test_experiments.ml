@@ -114,11 +114,9 @@ let test_fanout_latency () =
            (2.0 *. r.rtt_ms))
         true
         (h.parallel_ms -. r.baseline_ms <= 2.0 *. r.rtt_ms);
-      check_bool "serial pays ~ one rtt per copy" true
-        (h.serial_ms -. r.baseline_ms >= 6.0 *. r.rtt_ms);
-      check_bool "two suspects cost two timeouts serially, one in parallel"
-        true
-        (s.serial_ms >= 1.8 *. s.parallel_ms)
+      (* the experiment's RaTP gives up after 20 + 40 + 80 = 140 ms *)
+      check_bool "two suspects cost one give-up window, not two" true
+        (s.parallel_ms -. r.baseline_ms < 2.0 *. 140.0)
   | _ -> Alcotest.fail "expected exactly one point per variant"
 
 let test_fanout_deterministic () =
@@ -130,7 +128,7 @@ let test_fanout_deterministic () =
 
 let test_batching_acceptance () =
   let r =
-    Experiments.Page_batching.run ~windows:[ 0; 8 ] ~flush_sizes:[ 16 ] ()
+    Experiments.Page_batching.run ~windows:[ 0; 8 ] ()
   in
   let open Experiments.Page_batching in
   let seq w =
@@ -148,21 +146,11 @@ let test_batching_acceptance () =
     (w8.scan_ms < w0.scan_ms);
   (* random access must not leave the adaptive window speculating *)
   let rnd8 = List.find (fun p -> p.window = 8 && not p.sequential) r.scans in
-  check_bool "random scan wastes few prefetches" true (rnd8.prefetched <= 2);
-  match r.flushes with
-  | [ f ] ->
-      check_bool "one rpc per dirty page serially" true (f.serial_rpcs = 16);
-      check_bool "one rpc for the whole batch" true (f.batched_rpcs = 1);
-      check_bool
-        (Printf.sprintf "batched %.2f <= serial %.2f / 3" f.batched_ms
-           f.serial_ms)
-        true
-        (f.batched_ms *. 3.0 <= f.serial_ms)
-  | _ -> Alcotest.fail "expected one flush point"
+  check_bool "random scan wastes few prefetches" true (rnd8.prefetched <= 2)
 
 let test_batching_deterministic () =
-  let a = Experiments.Page_batching.run ~windows:[ 0; 2 ] ~flush_sizes:[ 4 ] () in
-  let b = Experiments.Page_batching.run ~windows:[ 0; 2 ] ~flush_sizes:[ 4 ] () in
+  let a = Experiments.Page_batching.run ~windows:[ 0; 2 ] () in
+  let b = Experiments.Page_batching.run ~windows:[ 0; 2 ] () in
   check_bool "identical results" true (a = b)
 
 let test_transport_acceptance () =
