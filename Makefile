@@ -1,4 +1,4 @@
-.PHONY: all build test check faults experiments load-smoke obs-smoke commit-smoke consistency-smoke bench-json bench-diff bench-baseline clean
+.PHONY: all build test check faults experiments load-smoke obs-smoke commit-smoke consistency-smoke perfbench-smoke bench-json bench-diff bench-baseline clean
 
 all: build
 
@@ -42,6 +42,15 @@ commit-smoke:
 # `experiments_main -- consistency`.
 consistency-smoke:
 	dune exec bin/experiments_main.exe -- --quick consistency
+
+# One short seed-1 run of each repository-benchmark workload.  The
+# benchmark exits non-zero on a correctness violation or when its
+# repetitions' simulated digests differ.
+perfbench-smoke:
+	@for w in ns-open gcp-commit dsm-pages; do \
+	  python3 perfbench/run.py --workload $$w --seed 1 --seconds 1 --trace 0 \
+	    || exit 1; \
+	done
 
 # Machine-readable benchmark baseline (wall-clock + simulated
 # metrics); BENCH_QUICK=1 selects the reduced sizes CI uses.

@@ -16,6 +16,7 @@ type event = {
   order : int;
   mutable live : bool;
   thunk : unit -> unit;
+  mutable next : event;  (* far-bucket chain, ended by [Evq.dummy] *)
 }
 
 (* The event queue is a binary heap specialized to events: the
@@ -26,7 +27,8 @@ type event = {
    dummy so popped event closures stay collectable (the concern the
    generic [Heap] solves with an [Obj.t] backing array). *)
 module Evq = struct
-  let dummy = { time = min_int; order = 0; live = false; thunk = ignore }
+  let rec dummy =
+    { time = min_int; order = 0; live = false; thunk = ignore; next = dummy }
 
   type t = { mutable arr : event array; mutable n : int }
 
@@ -91,10 +93,41 @@ module Evq = struct
     root
 end
 
+(* The queue has two tiers.  Most scheduled events are guard timers
+   that sit 5-60 simulated seconds out and almost never fire (RaTP
+   reply-cache expiries, presumed-abort and lock-watchdog timers);
+   kept in [Evq] they would make up nearly all of it, and every push
+   and pop would sift through them.  So time is cut into epochs of
+   2^26 ns (~67 ms, longer than RaTP's 50 ms first retry, so per-call
+   retry timers stay near) and:
+
+   - the near tier, [Evq], holds the events whose epoch is at most
+     [t.epoch];
+   - the far tier holds every later event, in one bucket per epoch:
+     an intrusive chain through [event.next], so a far push allocates
+     nothing once its bucket exists.  A small heap of the non-empty
+     buckets, touched once per epoch, finds the earliest.
+
+   When [Evq] drains, the earliest bucket is poured into it and
+   [t.epoch] moves to that bucket's epoch.  Every near event is thus
+   earlier than every far one, and events pop in exactly (time,
+   order) order.  A far event cancelled before its bucket is poured
+   is dropped there, without moving the clock. *)
+let epoch_bits = 26
+let[@inline] epoch_of time = time asr epoch_bits
+
+type bucket = { epoch : int; mutable head : event }
+
+module Buckets = Hashtbl.Make (Int)
+
 type t = {
   mutable clock : Time.t;
   mutable seq : int;
   events : Evq.t;
+  mutable epoch : int;
+  far : bucket Buckets.t;
+  far_order : bucket Heap.t;
+  mutable far_n : int;
   procs : (int, proc) Hashtbl.t;
   mutable next_pid : int;
   (* the process currently executing, if any: set around every entry
@@ -114,6 +147,11 @@ let create ?(seed = 42) () =
     clock = Time.zero;
     seq = 0;
     events = Evq.create ();
+    epoch = 0;
+    far = Buckets.create 64;
+    far_order =
+      Heap.create ~cmp:(fun (a : bucket) b -> Int.compare a.epoch b.epoch);
+    far_n = 0;
     procs = Hashtbl.create 64;
     next_pid = 1;
     cur = None;
@@ -122,24 +160,59 @@ let create ?(seed = 42) () =
 
 let now t = t.clock
 let rng t = t.root_rng
-let pending t = Evq.length t.events
+let pending t = Evq.length t.events + t.far_n
 
-(* Cancelled events stay in the heap but are skipped without
-   advancing the clock, so a killed sleeper does not drag the
-   simulation clock to its original wake-up time. *)
+(* Cancelled events stay queued but are skipped without advancing the
+   clock, so a killed sleeper does not drag the simulation clock to
+   its original wake-up time. *)
 let schedule_cancellable t time thunk =
   t.seq <- t.seq + 1;
   let time = if time < t.clock then t.clock else time in
-  let ev = { time; order = t.seq; live = true; thunk } in
-  Evq.push t.events ev;
+  let ev = { time; order = t.seq; live = true; thunk; next = Evq.dummy } in
+  let epoch = epoch_of time in
+  if epoch <= t.epoch then Evq.push t.events ev
+  else begin
+    (match Buckets.find t.far epoch with
+    | b ->
+        ev.next <- b.head;
+        b.head <- ev
+    | exception Not_found ->
+        let b = { epoch; head = ev } in
+        Buckets.add t.far epoch b;
+        Heap.push t.far_order b);
+    t.far_n <- t.far_n + 1
+  end;
   ev
+
+(* Move the earliest far bucket into [Evq], dropping its cancelled
+   events.  Called only when [Evq] is empty. *)
+let pour t =
+  match Heap.pop t.far_order with
+  | None -> ()
+  | Some b ->
+      Buckets.remove t.far b.epoch;
+      t.epoch <- b.epoch;
+      let ev = ref b.head in
+      while !ev != Evq.dummy do
+        let e = !ev in
+        ev := e.next;
+        e.next <- Evq.dummy;
+        t.far_n <- t.far_n - 1;
+        if e.live then Evq.push t.events e
+      done
 
 let schedule_at t time thunk = ignore (schedule_cancellable t time thunk)
 let schedule t thunk = schedule_at t t.clock thunk
 let at = schedule_at
 
 let rec drop_dead t =
-  if (not (Evq.is_empty t.events)) && not (Evq.min_elt t.events).live then begin
+  if Evq.is_empty t.events then begin
+    if not (Heap.is_empty t.far_order) then begin
+      pour t;
+      drop_dead t
+    end
+  end
+  else if not (Evq.min_elt t.events).live then begin
     ignore (Evq.pop t.events);
     drop_dead t
   end
@@ -308,17 +381,20 @@ let step t =
 
 (* The drain loop pops at most once per iteration and never allocates
    (no options, no double peek): at a million-event load run this loop
-   and the Evq sifts are the whole simulator. *)
+   and the Evq sifts are the whole simulator.  The clock never moves
+   back: an [until] already passed leaves it where it is. *)
 let run ?until t =
   let limit = match until with Some u -> u | None -> max_int in
   let running = ref true in
   while !running do
-    if Evq.is_empty t.events then running := false
+    if Evq.is_empty t.events then begin
+      if Heap.is_empty t.far_order then running := false else pour t
+    end
     else begin
       let ev = Evq.min_elt t.events in
       if not ev.live then ignore (Evq.pop t.events)
       else if ev.time > limit then begin
-        t.clock <- limit;
+        if limit > t.clock then t.clock <- limit;
         running := false
       end
       else begin

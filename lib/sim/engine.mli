@@ -64,8 +64,9 @@ val procs : t -> (pid * string) list
 
 val run : ?until:Time.t -> t -> unit
 (** Drain the event queue, advancing the clock, until it is empty or
-    the clock would pass [until].  Uncaught exceptions from processes
-    propagate out of [run]. *)
+    the clock would pass [until]; the clock then rests at [until],
+    or where it was if [until] is already past.  Uncaught exceptions
+    from processes propagate out of [run]. *)
 
 val step : t -> bool
 (** Execute the single next event.  Returns false if the queue was

@@ -1,7 +1,8 @@
 (** A polymorphic binary min-heap on a growable array.
 
-    Used by the event queue; generic so that tests can exercise it on
-    arbitrary ordered elements. *)
+    The engine uses it to order the far-tier buckets of its event
+    queue, a heap touched once per bucket; the per-event near tier is
+    a specialized heap inside [Engine]. *)
 
 type 'a t
 

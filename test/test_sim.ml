@@ -203,6 +203,169 @@ let test_exec_deadlock_detected () =
   in
   check_bool "deadlock raises" true deadlocks
 
+let test_run_until_never_rewinds () =
+  let eng = Engine.create () in
+  Engine.at eng (Time.ms 20) ignore;
+  Engine.at eng (Time.ms 30) ignore;
+  Engine.run ~until:(Time.ms 25) eng;
+  check_int "clock at 25ms" (Time.ms 25) (Engine.now eng);
+  Engine.run ~until:(Time.ms 5) eng;
+  check_int "an until already passed keeps the clock" (Time.ms 25)
+    (Engine.now eng);
+  let ran_at = ref Time.zero in
+  Engine.at eng (Time.ms 6) (fun () -> ran_at := Engine.now eng);
+  Engine.run eng;
+  check_int "a past instant runs now, not in the past" (Time.ms 25) !ran_at;
+  check_int "then the 30ms event" (Time.ms 30) (Engine.now eng)
+
+(* The engine keeps events more than one 2^26 ns epoch ahead in a far
+   tier of per-epoch buckets; these tests cross those boundaries. *)
+let epoch_ns = 1 lsl 26
+
+let test_run_until_across_far_bucket () =
+  let eng = Engine.create () in
+  let log = ref [] in
+  let note tag () = log := (tag, Engine.now eng) :: !log in
+  Engine.at eng (Time.ms 1) (note "1ms");
+  Engine.at eng (Time.sec 2) (note "2s");
+  Engine.at eng (Time.sec 2 + 1) (note "2s+1ns");
+  Engine.at eng (Time.sec 5) (note "5s");
+  Engine.run ~until:(Time.sec 1) eng;
+  check_int "stopped at 1s" (Time.sec 1) (Engine.now eng);
+  check_int "only the near event ran" 1 (List.length !log);
+  Engine.at eng (Time.ms 1010) (note "1.01s");
+  Engine.run ~until:(Time.sec 3) eng;
+  check_int "stopped at 3s" (Time.sec 3) (Engine.now eng);
+  Engine.at eng (Time.ms 3001) (note "3.001s");
+  Engine.run eng;
+  Alcotest.(check (list (pair string int)))
+    "resumed in time order"
+    [
+      ("1ms", Time.ms 1);
+      ("1.01s", Time.ms 1010);
+      ("2s", Time.sec 2);
+      ("2s+1ns", Time.sec 2 + 1);
+      ("3.001s", Time.ms 3001);
+      ("5s", Time.sec 5);
+    ]
+    (List.rev !log)
+
+let test_pending_counts_far () =
+  let eng = Engine.create () in
+  Engine.at eng (Time.ms 1) ignore;
+  Engine.at eng (Time.sec 10) ignore;
+  Engine.at eng (Time.sec 60) ignore;
+  Engine.at eng (Time.sec 60) ignore;
+  check_int "near and far" 4 (Engine.pending eng);
+  check_bool "stepped" true (Engine.step eng);
+  check_int "after the near event" 3 (Engine.pending eng);
+  Engine.run ~until:(Time.sec 30) eng;
+  check_int "the 60s bucket" 2 (Engine.pending eng);
+  Engine.run eng;
+  check_int "drained" 0 (Engine.pending eng)
+
+(* [Sched (d, kids)] is an event [d] after the instant it was
+   scheduled at, which schedules [kids] when it runs. *)
+type sched = Sched of Time.span * sched list
+
+let rec pp_sched fmt (Sched (d, kids)) =
+  Format.fprintf fmt "%d[%a]" d
+    (Format.pp_print_list ~pp_sep:Format.pp_print_space pp_sched)
+    kids
+
+let gen_delay =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, int_bound (Time.sec 120));
+        (* ties just before, on and just after the first bucket edges *)
+        ( 3,
+          map2
+            (fun k d -> max 0 ((k * epoch_ns) + d))
+            (int_bound 3) (int_range (-1) 1) );
+        (1, return 0);
+      ])
+
+let rec gen_sched depth =
+  QCheck.Gen.(
+    if depth = 0 then map (fun d -> Sched (d, [])) gen_delay
+    else
+      map2
+        (fun d kids -> Sched (d, kids))
+        gen_delay
+        (list_size (int_bound 3) (gen_sched (depth - 1))))
+
+type node = { id : int; delay : Time.span; kids : node list }
+
+let number roots =
+  let next = ref 0 in
+  let rec go (Sched (delay, kids)) =
+    incr next;
+    let id = !next in
+    { id; delay; kids = List.map go kids }
+  in
+  List.map go roots
+
+(* The reference order: a list kept stably sorted by time, so
+   same-instant events stay in the order they were scheduled. *)
+let model_order roots =
+  let rec insert ((t, _) as e) = function
+    | ((t', _) as x) :: rest when t' <= t -> x :: insert e rest
+    | q -> e :: q
+  in
+  let rec go q log =
+    match q with
+    | [] -> List.rev log
+    | (t, n) :: rest ->
+        let q =
+          List.fold_left (fun q k -> insert (t + k.delay, k) q) rest n.kids
+        in
+        go q ((n.id, t) :: log)
+  in
+  go (List.fold_left (fun q r -> insert (r.delay, r) q) [] roots) []
+
+let engine_order drive roots =
+  let eng = Engine.create () in
+  let log = ref [] in
+  let rec sched base n =
+    Engine.at eng (base + n.delay) (fun () ->
+        let now = Engine.now eng in
+        log := (n.id, now) :: !log;
+        List.iter (sched now) n.kids)
+  in
+  List.iter (sched Time.zero) roots;
+  drive eng;
+  List.rev !log
+
+let prop_engine_order =
+  QCheck.Test.make ~name:"events run in stable (time, schedule) order"
+    ~count:200
+    (QCheck.make
+       ~print:(Format.asprintf "%a" (Format.pp_print_list pp_sched))
+       QCheck.Gen.(list_size (int_range 1 30) (gen_sched 2)))
+    (fun roots ->
+      let roots = number roots in
+      let expected = model_order roots in
+      let by_run = engine_order (fun eng -> Engine.run eng) roots in
+      let by_step =
+        engine_order
+          (fun eng ->
+            while Engine.step eng do
+              ()
+            done)
+          roots
+      in
+      let by_slices =
+        engine_order
+          (fun eng ->
+            for i = 1 to 50 do
+              Engine.run ~until:(i * Time.ms 4900) eng
+            done;
+            Engine.run eng)
+          roots
+      in
+      by_run = expected && by_step = expected && by_slices = expected)
+
 (* ------------------------------------------------------------------ *)
 (* Kill *)
 
@@ -220,6 +383,22 @@ let test_kill_sleeping () =
   check_bool "not alive" false (Engine.alive eng pid);
   check_int "killed promptly, clock did not run to 10s" (Time.ms 1)
     (Engine.now eng)
+
+let test_kill_far_sleeper_keeps_clock () =
+  (* The killed sleeper's 10s timer waits in a far bucket with a live
+     event; pouring that bucket drops it without moving the clock. *)
+  let eng = Engine.create () in
+  let pid = Engine.spawn eng "sleeper" (fun () -> Sim.sleep (Time.sec 10)) in
+  Engine.at eng (Time.ms 1) (fun () -> Engine.kill eng pid);
+  Engine.at eng (Time.sec 10 + 1) ignore;
+  let clocks = ref [] in
+  while Engine.step eng do
+    clocks := Engine.now eng :: !clocks
+  done;
+  check_bool "clock never at the dead timer" false
+    (List.mem (Time.sec 10) !clocks);
+  check_int "ends at the live event" (Time.sec 10 + 1) (Engine.now eng);
+  check_int "nothing left" 0 (Engine.pending eng)
 
 let test_kill_group () =
   let eng = Engine.create () in
@@ -1001,15 +1180,24 @@ let () =
           Alcotest.test_case "spawn order" `Quick test_spawn_ordering;
           Alcotest.test_case "same-instant fifo" `Quick test_same_instant_fifo;
           Alcotest.test_case "run until" `Quick test_run_until;
+          Alcotest.test_case "run until never rewinds" `Quick
+            test_run_until_never_rewinds;
+          Alcotest.test_case "run until across a far bucket" `Quick
+            test_run_until_across_far_bucket;
+          Alcotest.test_case "pending counts far events" `Quick
+            test_pending_counts_far;
           Alcotest.test_case "determinism" `Quick test_determinism;
           Alcotest.test_case "nested spawn and self" `Quick
             test_nested_spawn_and_self;
           Alcotest.test_case "deadlock detection" `Quick
             test_exec_deadlock_detected;
         ] );
+      qsuite "engine-props" [ prop_engine_order ];
       ( "kill",
         [
           Alcotest.test_case "kill sleeping process" `Quick test_kill_sleeping;
+          Alcotest.test_case "kill far sleeper keeps clock" `Quick
+            test_kill_far_sleeper_keeps_clock;
           Alcotest.test_case "kill group" `Quick test_kill_group;
           Alcotest.test_case "spawn inherits group" `Quick
             test_spawn_inherits_group;
