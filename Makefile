@@ -45,11 +45,22 @@ consistency-smoke:
 
 # One short seed-1 run of each repository-benchmark workload.  The
 # benchmark exits non-zero on a correctness violation or when its
-# repetitions' simulated digests differ.
+# repetitions' simulated digests differ; each workload's digest must
+# also equal the one pinned in bench/perfbench_digests.
 perfbench-smoke:
+	@mkdir -p _build
 	@for w in ns-open gcp-commit dsm-pages; do \
 	  python3 perfbench/run.py --workload $$w --seed 1 --seconds 1 --trace 0 \
-	    || exit 1; \
+	    > _build/perfbench-$$w.out || { cat _build/perfbench-$$w.out; exit 1; }; \
+	  got=$$(sed -n 's/.*simulated digest \([0-9a-f]*\).*/\1/p' _build/perfbench-$$w.out); \
+	  want=$$(awk -v w=$$w '$$1 == w { print $$2 }' bench/perfbench_digests); \
+	  if [ -n "$$got" ] && [ "$$got" = "$$want" ]; then \
+	    echo "perfbench-smoke: $$w digest $$got matches"; \
+	  else \
+	    echo "perfbench-smoke: $$w digest '$$got' DRIFTED from '$$want' in bench/perfbench_digests"; \
+	    echo "(intentional? update bench/perfbench_digests and say why in CHANGES.md)"; \
+	    exit 1; \
+	  fi; \
 	done
 
 # Machine-readable benchmark baseline (wall-clock + simulated

@@ -84,21 +84,14 @@ let is_code t seg =
   end;
   Ra.Sysname.Table.mem t.code_segs seg
 
-let dsm_rpc node ~dst body =
-  Ratp.Endpoint.call node.Ra.Node.endpoint ~dst ~service:P.service
-    ~size:(P.request_bytes body) body
-
 (* One RPC per participant, all in flight at once: 2PC needs every
    participant's answer but no ordering between participants, so each
    phase costs one round trip (or one timeout) regardless of how many
    data servers the transaction spans.  Results come back in input
    order, so vote counting and error handling stay deterministic. *)
 let participant_rpcs node msgs =
-  (* fan-out workers run under fresh pids: re-bind the caller's span
-     so their RPCs stay in the transaction's trace *)
-  let parent = Obs.Tracer.current () in
-  let send (dst, body) = Obs.Tracer.under parent (fun () -> dsm_rpc node ~dst body) in
-  Sim.Fanout.map msgs ~label:"2pc-rpc" ~f:send
+  Obs.Tracer.fanout msgs ~label:"2pc-rpc" ~f:(fun (dst, body) ->
+      P.call node ~dst body)
 
 (* --- rollback ------------------------------------------------------ *)
 
@@ -205,7 +198,7 @@ let acquire_global t st node seg kind =
       end);
   match
     Obs.Tracer.with_span "txn.lock" (fun () ->
-        dsm_rpc node ~dst:home (P.Lock_segment { seg; kind; txn = st.txn }))
+        P.call node ~dst:home (P.Lock_segment { seg; kind; txn = st.txn }))
   with
   | Ok P.Lock_granted ->
       acquired := true;

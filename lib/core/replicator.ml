@@ -15,10 +15,6 @@ type t = {
   heals : Sim.Stats.counter;
 }
 
-let rpc t ~dst body =
-  Ratp.Endpoint.call t.node.Ra.Node.endpoint ~dst ~service:P.service
-    ~size:(P.request_bytes body) body
-
 let healthy_data t =
   Array.to_list t.cl.Cluster.data_nodes
   |> List.filter_map (fun n ->
@@ -35,7 +31,7 @@ let healthy_data t =
 (* The segment's size as the source currently stores it (an empty
    Read_pages reply carries the size and nothing else). *)
 let probe_size t ~src ~seg =
-  match rpc t ~dst:src (P.Read_pages { seg; from = 0; count = 0 }) with
+  match P.call t.node ~dst:src (P.Read_pages { seg; from = 0; count = 0 }) with
   | Ok (P.Pages { size; _ }) -> Some size
   | Ok _ | Error Ratp.Endpoint.Timeout -> None
 
@@ -43,12 +39,12 @@ let probe_size t ~src ~seg =
    left over from an earlier replica stint is deleted first. *)
 let prepare_target t ~seg ~dst ~size =
   let mode = Cluster.consistency_of t.cl seg in
-  match rpc t ~dst (P.Create_segment { seg; size; mode }) with
+  match P.call t.node ~dst (P.Create_segment { seg; size; mode }) with
   | Ok P.Segment_ok -> true
   | Ok P.Segment_error -> (
-      match rpc t ~dst (P.Delete_segment seg) with
+      match P.call t.node ~dst (P.Delete_segment seg) with
       | Ok _ -> (
-          match rpc t ~dst (P.Create_segment { seg; size; mode }) with
+          match P.call t.node ~dst (P.Create_segment { seg; size; mode }) with
           | Ok P.Segment_ok -> true
           | Ok _ | Error Ratp.Endpoint.Timeout -> false)
       | Error Ratp.Endpoint.Timeout -> false)
@@ -71,11 +67,12 @@ let backfill t ~seg ~src ~dst =
   let exception Fail in
   try
     let rec go from =
-      match rpc t ~dst:src (P.Read_pages { seg; from; count = batch }) with
+      match P.call t.node ~dst:src (P.Read_pages { seg; from; count = batch })
+      with
       | Ok (P.Pages { size; pages }) ->
           (if pages <> [] then
              let writes = List.map (fun (p, b) -> (seg, p, b)) pages in
-             match rpc t ~dst (P.Backfill writes) with
+             match P.call t.node ~dst (P.Backfill writes) with
              | Ok P.Batch_ok -> Sim.Stats.incr_by t.copied (List.length pages)
              | Ok _ | Error Ratp.Endpoint.Timeout -> raise Fail);
           let total = (size + Ra.Page.size - 1) / Ra.Page.size in
@@ -114,13 +111,15 @@ let copy_segment t ~seg ~src ~dst =
    segments it now mirrors; descriptors are tiny, so the whole
    directory of [src] is mirrored onto [dst]. *)
 let copy_directory t ~src ~dst =
-  match rpc t ~dst:src P.List_objects with
+  match P.call t.node ~dst:src P.List_objects with
   | Ok (P.Objects objs) ->
       List.iter
         (fun obj ->
-          match rpc t ~dst:src (P.Get_descriptor obj) with
+          match P.call t.node ~dst:src (P.Get_descriptor obj) with
           | Ok (P.Descriptor (Some d)) -> (
-              match rpc t ~dst (P.Register_object { obj; descriptor = d }) with
+              match
+                P.call t.node ~dst (P.Register_object { obj; descriptor = d })
+              with
               | Ok _ | Error Ratp.Endpoint.Timeout -> ())
           | Ok _ | Error Ratp.Endpoint.Timeout -> ())
         (List.sort Ra.Sysname.compare objs)

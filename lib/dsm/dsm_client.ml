@@ -101,20 +101,9 @@ let apply_view t (v : Membership.Monitor.view) =
         | Membership.Monitor.Alive | Membership.Monitor.Suspect -> None)
       v.Membership.Monitor.members
   in
-  if dead <> [] then begin
-    let doomed =
-      Ra.Sysname.Table.fold
-        (fun seg home acc ->
-          if List.exists (Net.Address.equal home) dead then seg :: acc
-          else acc)
-        t.loc_cache []
-    in
-    List.iter
-      (fun seg ->
-        Sim.Stats.incr t.loc_evictions;
-        Ra.Sysname.Table.remove t.loc_cache seg)
-      doomed
-  end
+  if dead <> [] then
+    ignore
+      (evict_where t (fun _ home -> List.exists (Net.Address.equal home) dead))
 
 let stream_for t seg =
   match Ra.Sysname.Table.find_opt t.streams seg with
@@ -124,9 +113,22 @@ let stream_for t seg =
       Ra.Sysname.Table.replace t.streams seg s;
       s
 
-let call t ~dst body =
-  Ratp.Endpoint.call t.node.Ra.Node.endpoint ~dst ~service:P.service
-    ~size:(P.request_bytes body) body
+(* Every call to a segment's home goes through here: resolve the home,
+   bump [counter], send.  A home that no longer holds the segment
+   raises [No_segment], one that does not answer raises [Unavailable];
+   both drop the cached location so the next try re-resolves.  Returns
+   the home with the reply. *)
+let home_call t seg counter body =
+  let home = locate_cached t seg in
+  Sim.Stats.incr counter;
+  match P.call t.node ~dst:home body with
+  | Ok (P.Page_error | P.Segment_error) ->
+      forget_location t seg;
+      raise (Ra.Partition.No_segment seg)
+  | Ok reply -> (home, reply)
+  | Error Ratp.Endpoint.Timeout ->
+      forget_location t seg;
+      raise (Unavailable seg)
 
 (* Send Release_copies for [pages], none of which this client holds a
    copy of any more, and gate later faults on the same pages until the
@@ -152,7 +154,7 @@ let send_release t ~home ~wait pages =
           (* pure bookkeeping: a timed-out release leaves a phantom
              registration behind, which only costs the next write
              fault one redundant Invalidate *)
-          try ignore (call t ~dst:home (P.Release_copies pages))
+          try ignore (P.call t.node ~dst:home (P.Release_copies pages))
           with _ -> ())
     in
     if wait then send ()
@@ -208,8 +210,6 @@ let remote_fetch t ~seg ~page ~mode =
     | None -> ()
   in
   drain ();
-  let home = locate_cached t seg in
-  Sim.Stats.incr t.fetches;
   let mode =
     (* commutative pages are never owned: a local write upgrade
        fetches the current image like a read and the home stays
@@ -231,54 +231,31 @@ let remote_fetch t ~seg ~page ~mode =
     end
   in
   let epoch0 = t.inval_epoch in
-  let body = P.Get_page { seg; page; mode; window } in
-  match call t ~dst:home body with
-  | Ok (P.Got_page data) ->
+  match home_call t seg t.fetches (P.Get_page { seg; page; mode; window }) with
+  | _, P.Got_page data ->
       if use_stream then (stream_for t seg).next_expected <- page + 1;
       data
-  | Ok (P.Got_pages { main; extras }) ->
+  | home, P.Got_pages { main; extras } ->
       install_extras t ~home ~seg ~epoch0 extras;
       if use_stream then
         (stream_for t seg).next_expected <- page + 1 + List.length extras;
       main
-  | Ok P.Page_error ->
-      forget_location t seg;
-      raise (Ra.Partition.No_segment seg)
-  | Ok _ -> raise (Unavailable seg)
-  | Error Ratp.Endpoint.Timeout ->
-      forget_location t seg;
-      raise (Unavailable seg)
+  | _ -> raise (Unavailable seg)
 
-let remote_writeback t ~seg ~page data =
+(* The one one-copy write op: a flush sends the segment's dirty pages,
+   an MMU eviction a one-page batch. *)
+let write_batch t seg writes =
  Obs.Tracer.with_span ~node:t.node.Ra.Node.id "dsm.put" @@ fun () ->
-  let home = locate_cached t seg in
-  Sim.Stats.incr t.puts;
-  match call t ~dst:home (P.Put_page { seg; page; data }) with
-  | Ok P.Batch_ok -> ()
-  | Ok P.Segment_error ->
-      forget_location t seg;
-      raise (Ra.Partition.No_segment seg)
-  | Ok _ -> raise (Unavailable seg)
-  | Error Ratp.Endpoint.Timeout ->
-      forget_location t seg;
-      raise (Unavailable seg)
-
-let remote_write_batch t ~seg writes =
- Obs.Tracer.with_span ~node:t.node.Ra.Node.id "dsm.put" @@ fun () ->
-  let home = locate_cached t seg in
-  Sim.Stats.incr t.puts;
-  match call t ~dst:home (P.Put_batch writes) with
-  | Ok P.Batch_ok -> ()
-  | Ok _ -> raise (Unavailable seg)
-  | Error Ratp.Endpoint.Timeout ->
-      forget_location t seg;
-      raise (Unavailable seg)
+  match home_call t seg t.puts (P.Put_batch writes) with
+  | _, P.Batch_ok -> ()
+  | _ -> raise (Unavailable seg)
 
 let partition t =
   {
     Ra.Partition.name = Printf.sprintf "dsm-client-%d" t.node.Ra.Node.id;
     fetch = (fun ~seg ~page ~mode -> remote_fetch t ~seg ~page ~mode);
-    writeback = (fun ~seg ~page data -> remote_writeback t ~seg ~page data);
+    writeback =
+      (fun ~seg ~page data -> write_batch t seg [ (seg, page, data) ]);
   }
 
 let create node ~locate ?(consistency = fun _ -> Ra.Partition.One_copy)
@@ -308,37 +285,33 @@ let create node ~locate ?(consistency = fun _ -> Ra.Partition.One_copy)
   in
   Ra.Mmu.set_resolver node.Ra.Node.mmu (fun _seg -> partition t);
   Ra.Mmu.set_consistency node.Ra.Node.mmu consistency;
-  Ratp.Endpoint.serve node.Ra.Node.endpoint ~service:P.client_service
-    (fun ~src:_ body ->
-      let reply =
-        match body with
-        | P.Invalidate { seg; page } ->
-            Sim.Stats.incr t.invals;
-            t.inval_epoch <- t.inval_epoch + 1;
-            Hashtbl.replace t.page_epochs (seg, page) t.inval_epoch;
-            P.Invalidated { dirty = Ra.Mmu.invalidate node.Ra.Node.mmu seg page }
-        | P.Downgrade { seg; page } ->
-            Sim.Stats.incr t.downs;
-            P.Downgraded { dirty = Ra.Mmu.downgrade node.Ra.Node.mmu seg page }
-        | P.Inval_batch pages ->
-            (* a release-mode lock scope ended: clean copies drop at
-               once.  A frame holding OUR unflushed writes survives —
-               its diff must still reach the home — but is marked
-               stale so our own flush drops it instead of rebasing
-               (its unmodified bytes predate the other scope). *)
-            List.iter
-              (fun (seg, page) ->
-                Sim.Stats.incr t.invals;
-                t.inval_epoch <- t.inval_epoch + 1;
-                Hashtbl.replace t.page_epochs (seg, page) t.inval_epoch;
-                if Ra.Mmu.is_dirty node.Ra.Node.mmu seg page then
-                  Hashtbl.replace t.stale_dirty (seg, page) ()
-                else ignore (Ra.Mmu.invalidate node.Ra.Node.mmu seg page))
-              pages;
-            P.Batch_ok
-        | _ -> P.Page_error
-      in
-      (reply, P.request_bytes reply));
+  P.serve ~service:P.client_service node (fun ~src:_ body ->
+      match body with
+      | P.Invalidate { seg; page } ->
+          Sim.Stats.incr t.invals;
+          t.inval_epoch <- t.inval_epoch + 1;
+          Hashtbl.replace t.page_epochs (seg, page) t.inval_epoch;
+          P.Invalidated { dirty = Ra.Mmu.invalidate node.Ra.Node.mmu seg page }
+      | P.Downgrade { seg; page } ->
+          Sim.Stats.incr t.downs;
+          P.Downgraded { dirty = Ra.Mmu.downgrade node.Ra.Node.mmu seg page }
+      | P.Inval_batch pages ->
+          (* a release-mode lock scope ended: clean copies drop at
+             once.  A frame holding OUR unflushed writes survives —
+             its diff must still reach the home — but is marked
+             stale so our own flush drops it instead of rebasing
+             (its unmodified bytes predate the other scope). *)
+          List.iter
+            (fun (seg, page) ->
+              Sim.Stats.incr t.invals;
+              t.inval_epoch <- t.inval_epoch + 1;
+              Hashtbl.replace t.page_epochs (seg, page) t.inval_epoch;
+              if Ra.Mmu.is_dirty node.Ra.Node.mmu seg page then
+                Hashtbl.replace t.stale_dirty (seg, page) ()
+              else ignore (Ra.Mmu.invalidate node.Ra.Node.mmu seg page))
+            pages;
+          P.Batch_ok
+      | _ -> P.Page_error);
   t
 
 (* Maximal runs of bytes that differ from the twin.  Pages are
@@ -368,8 +341,6 @@ let diff_spans ~base ~current =
 let flush_release t seg dirty =
  Obs.Tracer.with_span ~node:t.node.Ra.Node.id "dsm.put" @@ fun () ->
   let mmu = t.node.Ra.Node.mmu in
-  let home = locate_cached t seg in
-  Sim.Stats.incr t.puts;
   let entries =
     List.map
       (fun (page, data) ->
@@ -378,8 +349,8 @@ let flush_release t seg dirty =
         | None -> (seg, page, [ (0, data) ]))
       dirty
   in
-  match call t ~dst:home (P.Put_diffs entries) with
-  | Ok P.Batch_ok ->
+  match home_call t seg t.puts (P.Put_diffs entries) with
+  | _, P.Batch_ok ->
       List.iter
         (fun (page, _) ->
           if Hashtbl.mem t.stale_dirty (seg, page) then begin
@@ -394,13 +365,7 @@ let flush_release t seg dirty =
             Ra.Mmu.rebase mmu seg page
           end)
         dirty
-  | Ok P.Segment_error ->
-      forget_location t seg;
-      raise (Ra.Partition.No_segment seg)
-  | Ok _ -> raise (Unavailable seg)
-  | Error Ratp.Endpoint.Timeout ->
-      forget_location t seg;
-      raise (Unavailable seg)
+  | _ -> raise (Unavailable seg)
 
 (* Commutative flush: encode the local writes as merge deltas against
    each page's twin and let the home combine them; the reply carries
@@ -414,8 +379,6 @@ let flush_release t seg dirty =
 let flush_merges t seg op dirty =
  Obs.Tracer.with_span ~node:t.node.Ra.Node.id "dsm.merge" @@ fun () ->
   let mmu = t.node.Ra.Node.mmu in
-  let home = locate_cached t seg in
-  Sim.Stats.incr t.merge_rpcs;
   let deltas =
     List.map
       (fun (page, data) ->
@@ -430,18 +393,12 @@ let flush_merges t seg op dirty =
           Ra.Partition.merge_delta op ~base ~current:data ))
       dirty
   in
-  match call t ~dst:home (P.Merge_delta deltas) with
-  | Ok (P.Merged images) ->
+  match home_call t seg t.merge_rpcs (P.Merge_delta deltas) with
+  | _, P.Merged images ->
       List.iter
         (fun (s, page, img) -> Ra.Mmu.merge_refresh mmu s page img)
         images
-  | Ok P.Segment_error ->
-      forget_location t seg;
-      raise (Ra.Partition.No_segment seg)
-  | Ok _ -> raise (Unavailable seg)
-  | Error Ratp.Endpoint.Timeout ->
-      forget_location t seg;
-      raise (Unavailable seg)
+  | _ -> raise (Unavailable seg)
 
 (* Writeback of a segment's dirty pages as one RPC (RaTP fragments
    it on the wire): a Put_batch of page images for one-copy segments,
@@ -455,7 +412,7 @@ let flush_segment t seg =
       | Ra.Partition.Release -> flush_release t seg dirty
       | Ra.Partition.Commutative op -> flush_merges t seg op dirty
       | Ra.Partition.One_copy ->
-          remote_write_batch t ~seg
+          write_batch t seg
             (List.map (fun (page, data) -> (seg, page, data)) dirty);
           List.iter (fun (page, _) -> Ra.Mmu.mark_clean mmu seg page) dirty)
 

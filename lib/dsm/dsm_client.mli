@@ -57,7 +57,9 @@ val flush_segment : t -> Ra.Sysname.t -> unit
     server and mark the frames clean (used by s-threads that want
     their updates stored, and by examples).  One RPC per segment: a
     [Put_batch] of page images, release-mode diffs or commutative
-    merge deltas. *)
+    merge deltas.  Raises [Ra.Partition.No_segment] if the home no
+    longer holds the segment and {!Unavailable} if it does not
+    answer; either way nothing is applied and the pages stay dirty. *)
 
 val drop_segment : t -> Ra.Sysname.t -> unit
 (** Locally invalidate all frames of a segment without writing them
@@ -85,7 +87,8 @@ val remote_fetches : t -> int
 (** Fetch RPCs issued (prefetch hits avoid these entirely). *)
 
 val put_rpcs : t -> int
-(** Writeback RPCs issued ([Put_page] and [Put_batch] both count 1). *)
+(** Writeback RPCs issued: one per [Put_batch] (a segment flush or an
+    evicted dirty frame) and per release-mode [Put_diffs]. *)
 
 val invalidations_received : t -> int
 val downgrades_received : t -> int

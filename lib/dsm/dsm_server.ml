@@ -104,13 +104,24 @@ let owner_state t key =
       Hashtbl.replace t.owners key s;
       s
 
-let call_client t ~dst body =
-  Ratp.Endpoint.call t.node.Ra.Node.endpoint ~dst ~service:P.client_service
-    ~size:(P.request_bytes body) body
+let join_copyset st src =
+  if not (List.mem src st.copyset) then st.copyset <- src :: st.copyset
 
-let call_server t ~dst body =
-  Ratp.Endpoint.call t.node.Ra.Node.endpoint ~dst ~service:P.service
-    ~size:(P.request_bytes body) body
+(* The current store image of a page, zero-filled if never written. *)
+let page_image t seg page =
+  match Store.Segment_store.read_page t.store seg page with
+  | Ra.Partition.Data b -> b
+  | Ra.Partition.Zeroed -> Bytes.make Ra.Page.size '\000'
+
+(* A batch naming a segment this store lacks is refused whole, before
+   anything is applied: dropping its entries while replying success
+   would let the client mark those pages clean and lose the writes. *)
+let missing_segment t seg_of entries =
+  List.exists
+    (fun e -> not (Store.Segment_store.exists t.store (seg_of e)))
+    entries
+
+let seg3 (seg, _, _) = seg
 
 (* Forward committed page images to the backups of the segments they
    touch.  Fire-and-forget durability: a timed-out backup is left for
@@ -139,13 +150,10 @@ let mirror_writes t writes =
             writes
         in
         Sim.Stats.incr_by t.mirrored (List.length ws);
-        ignore (call_server t ~dst (P.Mirror_writes ws))
+        ignore (P.call t.node ~dst (P.Mirror_writes ws))
       in
       Obs.Tracer.with_span ~node:t.node.Ra.Node.id "dsm.mirror" (fun () ->
-          (* fan-out workers run under fresh pids: re-bind the span *)
-          let parent = Obs.Tracer.current () in
-          let send dst = Obs.Tracer.under parent (fun () -> send dst) in
-          ignore (Sim.Fanout.map targets ~label:"dsm-mirror" ~f:send))
+          ignore (Obs.Tracer.fanout targets ~label:"dsm-mirror" ~f:send))
     end
   end
 
@@ -164,7 +172,10 @@ let recall t key =
       Sim.Stats.incr t.downs;
       (if not (Hashtbl.mem t.suspects w) then
          Obs.Tracer.with_span ~node:t.node.Ra.Node.id "dsm.recall" @@ fun () ->
-         match call_client t ~dst:w (P.Downgrade { seg; page }) with
+         match
+           P.call ~service:P.client_service t.node ~dst:w
+             (P.Downgrade { seg; page })
+         with
          | Ok (P.Downgraded { dirty = Some d }) ->
              Store.Segment_store.write_page t.store seg page d
          | Ok _ -> ()
@@ -173,7 +184,7 @@ let recall t key =
                 waiting on it until it speaks to us again *)
              Hashtbl.replace t.suspects w ());
       st.owner <- None;
-      if not (List.mem w st.copyset) then st.copyset <- w :: st.copyset
+      join_copyset st w
 
 (* The write-fault path: pull back the owner's (possibly dirty) copy
    and invalidate every read copy.  The protocol needs each peer's
@@ -204,17 +215,18 @@ let invalidate_copies t key ~except =
   (* counting stays outside the predicate: filter is free to
      re-evaluate, and selection must not have side effects *)
   List.iter (fun _ -> Sim.Stats.incr t.invals) reader_targets;
-  let invalidate peer = (peer, call_client t ~dst:peer (P.Invalidate { seg; page })) in
+  let invalidate peer =
+    ( peer,
+      P.call ~service:P.client_service t.node ~dst:peer
+        (P.Invalidate { seg; page }) )
+  in
   let targets = owner_target @ reader_targets in
   let replies =
     match targets with
     | [] -> []
     | _ ->
         Obs.Tracer.with_span ~node:t.node.Ra.Node.id "dsm.inval" (fun () ->
-            (* fan-out workers run under fresh pids: re-bind the span *)
-            let parent = Obs.Tracer.current () in
-            let invalidate p = Obs.Tracer.under parent (fun () -> invalidate p) in
-            Sim.Fanout.map targets ~label:"dsm-inval" ~f:invalidate)
+            Obs.Tracer.fanout targets ~label:"dsm-inval" ~f:invalidate)
   in
   List.iter
     (fun (peer, reply) ->
@@ -284,14 +296,14 @@ let release_flush t writes ~except =
         Sim.Stats.hadd t.flush_batch (float_of_int (List.length pages)))
       targets;
     let send (peer, pages) =
-      match call_client t ~dst:peer (P.Inval_batch pages) with
+      match
+        P.call ~service:P.client_service t.node ~dst:peer (P.Inval_batch pages)
+      with
       | Ok _ -> ()
       | Error Ratp.Endpoint.Timeout -> Hashtbl.replace t.suspects peer ()
     in
     Obs.Tracer.with_span ~node:t.node.Ra.Node.id "dsm.release_flush" (fun () ->
-        let parent = Obs.Tracer.current () in
-        let send x = Obs.Tracer.under parent (fun () -> send x) in
-        ignore (Sim.Fanout.map targets ~label:"dsm-release" ~f:send))
+        ignore (Obs.Tracer.fanout targets ~label:"dsm-release" ~f:send))
   end
 
 let warm_segment t seg =
@@ -335,8 +347,7 @@ let collect_extras t ~src seg page window =
           match Store.Segment_store.read_page t.store seg p with
           | Ra.Partition.Zeroed -> List.rev acc
           | Ra.Partition.Data b ->
-              if not (List.mem src est.copyset) then
-                est.copyset <- src :: est.copyset;
+              join_copyset est src;
               Sim.Stats.incr t.prefetched;
               go (p + 1) ((p, b) :: acc) (n + 1)
   in
@@ -357,8 +368,7 @@ let handle_get t ~src seg page mode window =
                 (* the owner itself re-reads after losing its frame *)
                 st.owner <- None
             | None -> ());
-            if not (List.mem src st.copyset) then
-              st.copyset <- src :: st.copyset
+            join_copyset st src
         | Ra.Partition.Write -> (
             match consistency_of t seg with
             | Ra.Partition.One_copy ->
@@ -378,8 +388,7 @@ let handle_get t ~src seg page mode window =
                        st.copyset)
                 in
                 Sim.Stats.incr_by t.deferred skipped;
-                if not (List.mem src st.copyset) then
-                  st.copyset <- src :: st.copyset));
+                join_copyset st src));
         Sim.Stats.incr t.served;
         let main = Store.Segment_store.read_page t.store seg page in
         let extras =
@@ -394,6 +403,17 @@ let handle_get t ~src seg page mode window =
       end)
 
 let release_txn_everywhere t txn = Lock_table.release_txn t.locks txn
+
+(* Abort a transaction at this participant (coordinator's Abort or the
+   presumed-abort timer): log and forget its prepared writes, if any,
+   then free its locks. *)
+let abort_prepared t txn =
+  if Txn_table.mem t.prepared txn then begin
+    Store.Wal.append t.wal (Store.Wal.Aborted (txn.P.tnode, txn.P.tseq));
+    Txn_table.remove t.prepared txn;
+    Sim.Stats.incr t.abort_count
+  end;
+  release_txn_everywhere t txn
 
 let apply_writes ?lsn t writes =
   List.iter
@@ -437,12 +457,7 @@ let maybe_arm_checkpoint t =
       end
 
 let handle_prepare t txn writes =
-  let valid =
-    List.for_all
-      (fun (seg, _, _) -> Store.Segment_store.exists t.store seg)
-      writes
-  in
-  if not valid then P.Vote false
+  if missing_segment t seg3 writes then P.Vote false
   else begin
     maybe_arm_checkpoint t;
     let undo =
@@ -482,13 +497,7 @@ let handle_prepare t txn writes =
         if Txn_table.mem t.prepared txn then
           ignore
             (Ra.Node.spawn t.node "presumed-abort" (fun () ->
-                 if Txn_table.mem t.prepared txn then begin
-                   Store.Wal.append t.wal
-                     (Store.Wal.Aborted (txn.P.tnode, txn.P.tseq));
-                   Txn_table.remove t.prepared txn;
-                   Sim.Stats.incr t.abort_count;
-                   release_txn_everywhere t txn
-                 end)));
+                 if Txn_table.mem t.prepared txn then abort_prepared t txn)));
     P.Vote true
   end
 
@@ -531,21 +540,11 @@ let handle_commit t ~src txn =
       release_txn_everywhere t txn;
       P.Txn_done
 
-let handle_abort t txn =
-  (match Txn_table.find_opt t.prepared txn with
-  | Some _ ->
-      Store.Wal.append t.wal (Store.Wal.Aborted (txn.P.tnode, txn.P.tseq));
-      Txn_table.remove t.prepared txn;
-      Sim.Stats.incr t.abort_count
-  | None -> ());
-  release_txn_everywhere t txn;
-  P.Txn_done
-
 (* Span names for served operations — static strings, so labelling a
    traced request allocates nothing. *)
 let op_label = function
   | P.Get_page _ -> "serve.get"
-  | P.Put_page _ | P.Put_batch _ | P.Put_diffs _ -> "serve.put"
+  | P.Put_batch _ | P.Put_diffs _ -> "serve.put"
   | P.Merge_delta _ -> "serve.merge"
   | P.Release_copies _ -> "serve.release"
   | P.Overwrite _ | P.Mirror_writes _ | P.Backfill _ -> "serve.mirror"
@@ -566,40 +565,24 @@ let handle t ~src body =
   match body with
   | P.Get_page { seg; page; mode; window } ->
       handle_get t ~src seg page mode window
-  | P.Put_page { seg; page; data } ->
-      if Store.Segment_store.exists t.store seg then begin
-        Store.Segment_store.write_page t.store seg page data;
-        release_flush t [ (seg, page, data) ] ~except:src;
-        mirror_writes t [ (seg, page, data) ];
+  | P.Put_batch writes ->
+      if missing_segment t seg3 writes then P.Segment_error
+      else begin
+        apply_writes t writes;
+        release_flush t writes ~except:src;
+        mirror_writes t writes;
         P.Batch_ok
       end
-      else P.Segment_error
-  | P.Put_batch writes ->
-      apply_writes t writes;
-      release_flush t writes ~except:src;
-      mirror_writes t writes;
-      P.Batch_ok
   | P.Put_diffs entries ->
       (* release-mode writeback: apply each page's changed byte spans
          over the current store image, so concurrent lock scopes
-         writing disjoint bytes of one page never clobber each other.
-         A missing segment fails the whole batch up front — silently
-         dropping entries would let the client mark those pages clean
-         and lose the writes (Put_page parity). *)
-      if
-        List.exists
-          (fun (seg, _, _) -> not (Store.Segment_store.exists t.store seg))
-          entries
-      then P.Segment_error
+         writing disjoint bytes of one page never clobber each other *)
+      if missing_segment t seg3 entries then P.Segment_error
       else begin
         let images =
           List.map
             (fun (seg, page, spans) ->
-              let cur =
-                match Store.Segment_store.read_page t.store seg page with
-                | Ra.Partition.Data b -> b
-                | Ra.Partition.Zeroed -> Bytes.make Ra.Page.size '\000'
-              in
+              let cur = page_image t seg page in
               List.iter
                 (fun (off, b) ->
                   let len =
@@ -626,13 +609,9 @@ let handle t ~src body =
          recorded delta is applied ([merge_delta] computes exactly
          that: new minus recorded for Add, the absolute values
          themselves for the idempotent Max), so nothing is ever
-         counted twice.  A missing segment fails the whole batch so
-         the client never marks those pages clean. *)
-      if
-        List.exists
-          (fun (seg, _, _, _) -> not (Store.Segment_store.exists t.store seg))
-          deltas
-      then P.Segment_error
+         counted twice. *)
+      if missing_segment t (fun (seg, _, _, _) -> seg) deltas then
+        P.Segment_error
       else begin
         let merged =
           List.map
@@ -659,11 +638,7 @@ let handle t ~src body =
                       Some delta
                 end
               in
-              let into =
-                match Store.Segment_store.read_page t.store seg page with
-                | Ra.Partition.Data b -> b
-                | Ra.Partition.Zeroed -> Bytes.make Ra.Page.size '\000'
-              in
+              let into = page_image t seg page in
               (match effective with
               | Some d ->
                   Ra.Partition.apply_merge op ~into d;
@@ -697,17 +672,19 @@ let handle t ~src body =
   | P.Overwrite writes ->
       (* replica propagation: force these page images in, dropping
          every cached copy so no node can serve stale data *)
-      List.iter
-        (fun (seg, page, data) ->
-          if Store.Segment_store.exists t.store seg then
+      if missing_segment t seg3 writes then P.Segment_error
+      else begin
+        List.iter
+          (fun (seg, page, data) ->
             Sim.Mutex.with_lock
               (page_mutex t (seg, page))
               (fun () ->
                 invalidate_copies t (seg, page) ~except:(-1);
                 Store.Segment_store.write_page t.store seg page data))
-        writes;
-      mirror_writes t writes;
-      P.Batch_ok
+          writes;
+        mirror_writes t writes;
+        P.Batch_ok
+      end
   | P.Mirror_writes writes ->
       (* primary → backup propagation; never re-forwarded *)
       apply_writes t writes;
@@ -785,7 +762,9 @@ let handle t ~src body =
       P.Registered
   | P.Prepare { txn; writes } -> handle_prepare t txn writes
   | P.Commit { txn } -> handle_commit t ~src txn
-  | P.Abort { txn } -> handle_abort t txn
+  | P.Abort { txn } ->
+      abort_prepared t txn;
+      P.Txn_done
   | P.List_objects -> P.Objects (Store.Directory.objects t.directory)
   | _ -> P.Page_error
 
@@ -834,11 +813,9 @@ let create node ?(presume_abort_after = Sim.Time.sec 60) ?group_commit_window
       merges = Sim.Stats.counter "dsm.merges_applied";
     }
   in
-  Ratp.Endpoint.serve node.Ra.Node.endpoint ~service:P.service
-    (fun ~src body ->
+  P.serve node (fun ~src body ->
       Obs.Tracer.with_span ~node:node.Ra.Node.id (op_label body) (fun () ->
-          let reply = handle t ~src body in
-          (reply, P.request_bytes reply)));
+          handle t ~src body));
   t
 
 let set_outcome_oracle t oracle = t.oracle <- oracle

@@ -28,6 +28,10 @@ val create :
     [Mirror_writes] to backups — go out as one concurrent fan-out,
     so a write fault costs one round trip regardless of copyset size.
 
+    A [Put_batch], [Put_diffs] or [Merge_delta] naming a segment this
+    store lacks is refused whole with [Segment_error] before any page
+    is applied, so the writer keeps its pages dirty.
+
     [presume_abort_after] (default 60 s) is how long a prepared
     transaction waits for its decision before the participant
     presumes abort.
@@ -92,11 +96,11 @@ val consistency_of : t -> Ra.Sysname.t -> Ra.Partition.consistency
 
 val set_mirrors : t -> (Ra.Sysname.t -> Net.Address.t list) -> unit
 (** Wire the backup map for replicated segments: committed writes
-    ([Put_page]/[Put_batch]/[Overwrite]/2PC commit application) are
-    forwarded as [Mirror_writes] to each listed backup.  The cluster
-    arranges that only a segment's current primary has backups listed,
-    and backups apply without re-forwarding, so forwarding cannot
-    loop. *)
+    ([Put_batch]/[Put_diffs]/[Merge_delta]/[Overwrite]/2PC commit
+    application) are forwarded as [Mirror_writes] to each listed
+    backup.  The cluster arranges that only a segment's current
+    primary has backups listed, and backups apply without
+    re-forwarding, so forwarding cannot loop. *)
 
 val owner_of : t -> Ra.Sysname.t -> int -> Net.Address.t option
 (** Current write owner of a page (tests). *)

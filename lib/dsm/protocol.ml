@@ -17,7 +17,6 @@ type Ratp.Packet.body +=
       extras : (int * bytes) list;
     }
   | Page_error
-  | Put_page of { seg : Ra.Sysname.t; page : int; data : bytes }
   | Put_batch of write_set
   | Overwrite of write_set
   | Batch_ok
@@ -120,7 +119,6 @@ let request_bytes = function
       in
       48 + main_bytes + extras_bytes extras
   | Page_error -> 32
-  | Put_page { data; _ } -> 48 + Bytes.length data
   | Put_batch ws | Overwrite ws -> 48 + write_set_bytes ws
   | Batch_ok -> 32
   | Invalidate _ | Downgrade _ -> 48
@@ -161,6 +159,15 @@ let request_bytes = function
         48 ds
   | Merged ws -> 48 + write_set_bytes ws
   | _ -> 64
+
+let call ?(service = service) (node : Ra.Node.t) ~dst body =
+  Ratp.Endpoint.call node.Ra.Node.endpoint ~dst ~service
+    ~size:(request_bytes body) body
+
+let serve ?(service = service) (node : Ra.Node.t) handler =
+  Ratp.Endpoint.serve node.Ra.Node.endpoint ~service (fun ~src body ->
+      let reply = handler ~src body in
+      (reply, request_bytes reply))
 
 let txn_compare a b =
   match Int.compare a.tnode b.tnode with

@@ -2,10 +2,16 @@
 
     All coherence, locking, directory and commit traffic between
     compute servers (DSM clients) and data servers (DSM servers) uses
-    these RaTP message bodies.  Sizes model headers plus the page
-    data as carried: page traffic ships full 8K pages, while the
-    commit path ([Prepare], and the [Mirror_writes] a commit forwards)
-    carries {!Ra.Page.compact} images. *)
+    these RaTP message bodies, sent with {!call} and answered through
+    {!serve}, which size every request and reply with
+    {!request_bytes}.  Sizes model headers plus the page data as
+    carried: page traffic ships full 8K pages, while the commit path
+    ([Prepare], and the [Mirror_writes] a commit forwards) carries
+    {!Ra.Page.compact} images.  One-copy pages have one write op,
+    [Put_batch]: a flush sends the segment's dirty pages, an MMU
+    eviction a one-page batch.  A [Put_batch], [Put_diffs],
+    [Merge_delta] or [Overwrite] naming a segment the server lacks is
+    refused whole with [Segment_error]. *)
 
 (** Transactions are named by their coordinating node and a per-node
     sequence number. *)
@@ -36,7 +42,6 @@ type Ratp.Packet.body +=
               each page's copyset *)
     }
   | Page_error
-  | Put_page of { seg : Ra.Sysname.t; page : int; data : bytes }
   | Put_batch of write_set
   | Overwrite of write_set
       (** server-side overwrite with invalidation of every cached
@@ -116,6 +121,24 @@ val client_service : int
 
 val request_bytes : Ratp.Packet.body -> int
 (** Wire size of a message body. *)
+
+val call :
+  ?service:int ->
+  Ra.Node.t ->
+  dst:Net.Address.t ->
+  Ratp.Packet.body ->
+  (Ratp.Packet.body, Ratp.Endpoint.error) result
+(** One DSM message transaction from [node] to [dst] on [service]
+    (default {!service}), the request sized by {!request_bytes}.  The
+    one way every layer sends a DSM message. *)
+
+val serve :
+  ?service:int ->
+  Ra.Node.t ->
+  (src:Net.Address.t -> Ratp.Packet.body -> Ratp.Packet.body) ->
+  unit
+(** Register a DSM handler on [node]'s endpoint for [service]
+    (default {!service}); each reply is sized by {!request_bytes}. *)
 
 val txn_compare : txn_id -> txn_id -> int
 val pp_txn : Format.formatter -> txn_id -> unit

@@ -134,28 +134,18 @@ let batcher_cls =
           V.Unit);
     ]
 
-(* Same convention as the load and page-batching experiments: a
-   modern fabric instead of the paper's 10 Mbit/s bus, so the shared
-   medium does not drown the per-disk commit pipeline under test
-   (every prepare ships its page images over the wire). *)
-let ether_config =
-  {
-    Net.Ethernet.default_config with
-    bandwidth_bps = 1_000_000_000;
-    send_cost_per_frame = Sim.Time.us 20;
-    recv_cost_per_frame = Sim.Time.us 20;
-    cost_per_byte_ns = 1;
-  }
-
 let run_cell ?(seed = 42) (c : cell) =
   let wall0 = Unix.gettimeofday () in
   let lat, retries, sim_ms, wal_records, wal_flushes, mean_batch, retrans =
     Sim.exec ~seed (fun () ->
         let eng = Sim.engine () in
+        (* the load experiment's fast fabric, so the shared medium
+           does not drown the per-disk commit pipeline under test
+           (every prepare ships its page images over the wire) *)
         let sys =
-          Clouds.boot eng ~ether_config ?group_commit_window:c.window
-            ?checkpoint_every:c.checkpoint_every ~compute:c.compute
-            ~data:c.data ~workstations:0 ()
+          Clouds.boot eng ~ether_config:Load.ether_config
+            ?group_commit_window:c.window ?checkpoint_every:c.checkpoint_every
+            ~compute:c.compute ~data:c.data ~workstations:0 ()
         in
         let cl = sys.Clouds.cluster in
         let om = sys.Clouds.om in

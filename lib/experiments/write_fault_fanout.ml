@@ -62,12 +62,7 @@ let measure_write_fault ~copyset ~suspects =
         (Dsm.Dsm_server.store server)
         seg ~size:Ra.Page.size;
       let rpc (n : Ra.Node.t) body =
-        match
-          Ratp.Endpoint.call n.Ra.Node.endpoint ~dst:1
-            ~service:Dsm.Protocol.service
-            ~size:(Dsm.Protocol.request_bytes body)
-            body
-        with
+        match Dsm.Protocol.call n ~dst:1 body with
         | Ok (Dsm.Protocol.Got_page _) -> ()
         | Ok _ | Error Ratp.Endpoint.Timeout -> failwith "page fault failed"
       in

@@ -35,10 +35,6 @@ let live_node cl =
   | Some n -> n
   | None -> invalid_arg "Replica: no live compute server"
 
-let rpc node ~dst body =
-  Ratp.Endpoint.call node.Ra.Node.endpoint ~dst ~service:P.service
-    ~size:(P.request_bytes body) body
-
 let descriptor_of om node obj =
   let cl = Clouds.Object_manager.cluster om in
   let home =
@@ -46,7 +42,7 @@ let descriptor_of om node obj =
     | Some h -> h
     | None -> raise (Clouds.Object_manager.No_object obj)
   in
-  match rpc node ~dst:home (P.Get_descriptor obj) with
+  match P.call node ~dst:home (P.Get_descriptor obj) with
   | Ok (P.Descriptor (Some d)) -> Some (home, d)
   | Ok _ | Error Ratp.Endpoint.Timeout -> None
 
@@ -82,7 +78,7 @@ let copy_state om t ~from_index ~to_index =
           let pages = Ra.Page.count_for src_e.Store.Directory.size in
           for page = 0 to pages - 1 do
             match
-              rpc node ~dst:src_home
+              P.call node ~dst:src_home
                 (P.Get_page
                    {
                      seg = src_e.Store.Directory.seg;
@@ -101,7 +97,7 @@ let copy_state om t ~from_index ~to_index =
         pairs;
       if not !ok then false
       else
-        match rpc node ~dst:dst_home (P.Overwrite (List.rev !writes)) with
+        match P.call node ~dst:dst_home (P.Overwrite (List.rev !writes)) with
         | Ok P.Batch_ok -> true
         | Ok _ | Error Ratp.Endpoint.Timeout -> false)
 

@@ -36,7 +36,8 @@ val copy_state :
   bool
 (** Copy the persistent state (data + heap segments) of one member
     onto another, page by page, through the data servers.  Returns
-    false if either side is unreachable. *)
+    false if either side is unreachable or the target's home lacks
+    one of its segments. *)
 
 val live_members : Clouds.Object_manager.t -> t -> int list
 (** Indices whose data server is currently alive. *)

@@ -1,29 +1,32 @@
 type config = {
-  frag_payload : int;
   retry_initial : Sim.Time.span;
-  retry_backoff : float;
   max_attempts : int;
   server_cache_ttl : Sim.Time.span;
-  proc_cost : Sim.Time.span;
   selective_retransmit : bool;
   adaptive_rto : bool;
-  rto_min : Sim.Time.span;
-  rto_max : Sim.Time.span;
 }
 
 let default_config =
   {
-    frag_payload = 1400;
     retry_initial = Sim.Time.ms 50;
-    retry_backoff = 2.0;
     max_attempts = 8;
     server_cache_ttl = Sim.Time.sec 5;
-    proc_cost = Sim.Time.us 590;
     selective_retransmit = true;
     adaptive_rto = false;
-    rto_min = Sim.Time.ms 2;
-    rto_max = Sim.Time.sec 4;
   }
+
+(* Protocol constants.  [proc_cost] is charged per transaction step
+   (request issue, request dispatch, reply issue, reply consumption);
+   590 us makes a null transaction cost about twice the raw 72-byte
+   Ethernet round trip, the paper's 4.8 ms vs 2.4 ms.  [frag_payload]
+   is the message bytes per fragment under the 1500-byte MTU, retries
+   back off by [retry_backoff] per attempt, and the adaptive retry
+   timer is clamped to [rto_min, rto_max]. *)
+let frag_payload = 1400
+let retry_backoff = 2.0
+let proc_cost = Sim.Time.us 590
+let rto_min = Sim.Time.ms 2
+let rto_max = Sim.Time.sec 4
 
 type error = Timeout
 
@@ -142,7 +145,7 @@ let note_rtt t ~dst span =
   end;
   st.samples <- st.samples + 1;
   let rto = int_of_float (st.srtt +. (4.0 *. st.rttvar)) in
-  st.rto <- max t.cfg.rto_min (min t.cfg.rto_max rto);
+  st.rto <- max rto_min (min rto_max rto);
   Sim.Stats.kset t.rto_by dst (st.rto / 1_000)
 
 let rto_for t dst =
@@ -190,11 +193,9 @@ let peer_stats t =
    full burst on first transmission, only the missing ones on a
    selective retransmission. *)
 let send_frag_list t ~dst ~service ~tid ~kind ~total_size body frags =
-  let n = Packet.nfrags_of ~frag_payload:t.cfg.frag_payload total_size in
+  let n = Packet.nfrags_of ~frag_payload total_size in
   let frame_for i =
-    let frag_size =
-      Packet.frag_bytes ~frag_payload:t.cfg.frag_payload ~total_size i
-    in
+    let frag_size = Packet.frag_bytes ~frag_payload ~total_size i in
     let pkt =
       { Packet.tid; service; kind; frag = i; nfrags = n; total_size; body }
     in
@@ -226,7 +227,7 @@ let send_frag_list t ~dst ~service ~tid ~kind ~total_size body frags =
            frags))
 
 let send_fragments t ~dst ~service ~tid ~kind ~total_size body =
-  let n = Packet.nfrags_of ~frag_payload:t.cfg.frag_payload total_size in
+  let n = Packet.nfrags_of ~frag_payload total_size in
   send_frag_list t ~dst ~service ~tid ~kind ~total_size body
     (List.init n Fun.id)
 
@@ -287,11 +288,11 @@ let run_handler t ~(src : Net.Address.t) ~tid ~service body =
                 join the client's trace *)
              Obs.Tracer.accept ~origin:tid.Packet.origin ~seq:tid.Packet.seq
                (fun () ->
-                 Sim.sleep t.cfg.proc_cost;
+                 Sim.sleep proc_cost;
                  let reply, reply_size = handler ~src body in
                  Tid_table.replace t.servers tid (Done { reply; reply_size });
                  schedule_cache_expiry t tid;
-                 Sim.sleep t.cfg.proc_cost;
+                 Sim.sleep proc_cost;
                  send_fragments t ~dst:src ~service ~tid ~kind:Packet.Reply
                    ~total_size:reply_size reply)))
 
@@ -352,7 +353,7 @@ let handle_request t ~src (pkt : Packet.t) =
 let handle_probe t ~src (pkt : Packet.t) =
   match Tid_table.find_opt t.servers pkt.tid with
   | Some (Done { reply; reply_size }) ->
-      let n = Packet.nfrags_of ~frag_payload:t.cfg.frag_payload reply_size in
+      let n = Packet.nfrags_of ~frag_payload reply_size in
       let missing =
         match pkt.body with
         | Packet.Bitmap got when Array.length got = n ->
@@ -363,8 +364,7 @@ let handle_probe t ~src (pkt : Packet.t) =
         List.iter
           (fun i ->
             Sim.Stats.incr_by t.retrans_bytes
-              (Packet.frag_bytes ~frag_payload:t.cfg.frag_payload
-                 ~total_size:reply_size i))
+              (Packet.frag_bytes ~frag_payload ~total_size:reply_size i))
           missing;
         Sim.Stats.kincr t.retrans_by src;
         send_frag_list t ~dst:src ~service:pkt.service ~tid:pkt.tid
@@ -410,9 +410,7 @@ let handle_nack t (pkt : Packet.t) =
   | None -> ()
   | Some pc ->
       pc.heard <- true;
-      let n =
-        Packet.nfrags_of ~frag_payload:t.cfg.frag_payload pc.req_size
-      in
+      let n = Packet.nfrags_of ~frag_payload pc.req_size in
       let missing =
         match pkt.body with
         | Packet.Bitmap got when Array.length got = n ->
@@ -423,8 +421,7 @@ let handle_nack t (pkt : Packet.t) =
         List.iter
           (fun i ->
             Sim.Stats.incr_by t.retrans_bytes
-              (Packet.frag_bytes ~frag_payload:t.cfg.frag_payload
-                 ~total_size:pc.req_size i))
+              (Packet.frag_bytes ~frag_payload ~total_size:pc.req_size i))
           missing;
         send_frag_list t ~dst:pc.dst ~service:pc.service ~tid:pkt.tid
           ~kind:Packet.Request ~total_size:pc.req_size pc.req_body missing
@@ -502,7 +499,7 @@ let restart t =
       (fun () -> rx_loop t)
 
 let call t ~dst ~service ~size body =
-  Sim.sleep t.cfg.proc_cost;
+  Sim.sleep proc_cost;
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
   let tid = { Packet.origin = t.address; seq } in
@@ -521,7 +518,7 @@ let call t ~dst ~service ~size body =
     }
   in
   Tid_table.replace t.clients tid pc;
-  let req_nfrags = Packet.nfrags_of ~frag_payload:t.cfg.frag_payload size in
+  let req_nfrags = Packet.nfrags_of ~frag_payload size in
   (* The span covers the whole blocking exchange (send, retries,
      reply); [offer] lets the server's handler process parent its
      spans under this call via the transaction id — a side-channel
@@ -580,7 +577,7 @@ let call t ~dst ~service ~size body =
           | Some reply ->
               if not pc.retransmitted then
                 note_rtt t ~dst (Sim.Time.diff (Sim.now ()) t_start);
-              Sim.sleep t.cfg.proc_cost;
+              Sim.sleep proc_cost;
               send_ack t ~dst ~tid ~service;
               Sim.Stats.incr t.completed;
               Ok reply
@@ -594,7 +591,7 @@ let call t ~dst ~service ~size body =
               end
               else
                 attempt ~sends:(sends + 1) (n + 1)
-                  (int_of_float (float_of_int interval *. t.cfg.retry_backoff))
+                  (int_of_float (float_of_int interval *. retry_backoff))
         end
       in
       attempt ~sends:0 1 (rto_for t dst))

@@ -22,14 +22,10 @@
     handler never blocks reception. *)
 
 type config = {
-  frag_payload : int;  (** max message bytes per fragment *)
-  retry_initial : Sim.Time.span;  (** first retransmission delay *)
-  retry_backoff : float;  (** multiplier per retry *)
+  retry_initial : Sim.Time.span;
+      (** first retransmission delay (doubled per retry) *)
   max_attempts : int;  (** send attempts before giving up *)
   server_cache_ttl : Sim.Time.span;  (** reply retention for dedup *)
-  proc_cost : Sim.Time.span;
-      (** protocol processing charged per transaction step (request
-          issue, request dispatch, reply issue, reply consumption) *)
   selective_retransmit : bool;
       (** on timeout, probe for the peer's received-fragment bitmap
           and resend only what is missing (default on; loss-free
@@ -37,15 +33,17 @@ type config = {
   adaptive_rto : bool;
       (** derive the retry timer from the per-destination SRTT/RTTVAR
           estimate instead of [retry_initial] (default off; the
-          estimator is maintained and surfaced either way) *)
-  rto_min : Sim.Time.span;  (** adaptive RTO clamp, lower bound *)
-  rto_max : Sim.Time.span;  (** adaptive RTO clamp, upper bound *)
+          estimator is maintained and surfaced either way; clamped
+          to 2 ms .. 4 s) *)
 }
+(** The knobs callers set.  Fragment size (1400 bytes), per-step
+    protocol processing (590 us) and the adaptive-RTO clamp are
+    constants of the transport. *)
 
 val default_config : config
-(** Calibrated so that a null transaction costs about twice the raw
-    72-byte Ethernet round trip, matching the paper's 4.8 ms vs
-    2.4 ms.  [selective_retransmit] on, [adaptive_rto] off. *)
+(** A null transaction costs about twice the raw 72-byte Ethernet
+    round trip, matching the paper's 4.8 ms vs 2.4 ms.
+    [selective_retransmit] on, [adaptive_rto] off. *)
 
 type error = Timeout
 (** The transaction gave up after [max_attempts]. *)

@@ -15,10 +15,8 @@ module Ivar = Ivar
 module Mailbox = Mailbox
 module Semaphore = Semaphore
 module Mutex = Mutex
-module Condition = Condition
 module Rwlock = Rwlock
 module Stats = Stats
-module Trace = Trace
 module Fanout = Fanout
 
 exception Killed

@@ -125,25 +125,28 @@ let direct env ?(node = env.sys.cluster.Cluster.compute_nodes.(0))
 (* Read the account's balance (or the first word of another data
    page) straight from its data server's stable store (what survives
    crashes). *)
-let stored_balance ?(page = 0) env obj =
+let data_segment env obj =
   let home = Ra.Sysname.Table.find env.sys.cluster.Cluster.obj_home obj in
   match Cluster.server_at env.sys.cluster home with
   | None -> Alcotest.fail "no server"
   | Some server -> (
       match Store.Directory.lookup (Dsm.Dsm_server.directory server) obj with
       | None -> Alcotest.fail "no descriptor"
-      | Some desc -> (
+      | Some desc ->
           let data_seg =
             List.find
               (fun e -> String.equal e.Store.Directory.role "data")
               desc.Store.Directory.entries
           in
-          match
-            Store.Segment_store.read_page (Dsm.Dsm_server.store server)
-              data_seg.Store.Directory.seg page
-          with
-          | Ra.Partition.Zeroed -> 0
-          | Ra.Partition.Data b -> Int64.to_int (Bytes.get_int64_le b 0)))
+          (server, data_seg.Store.Directory.seg))
+
+let stored_balance ?(page = 0) env obj =
+  let server, seg = data_segment env obj in
+  match
+    Store.Segment_store.read_page (Dsm.Dsm_server.store server) seg page
+  with
+  | Ra.Partition.Zeroed -> 0
+  | Ra.Partition.Data b -> Int64.to_int (Bytes.get_int64_le b 0)
 
 (* ------------------------------------------------------------------ *)
 
@@ -275,6 +278,40 @@ let test_lcp_one_put_batch_per_home () =
       List.iter
         (fun p -> check_int "page stored" (7 + p) (stored_balance ~page:p env obj))
         [ 0; 1; 2 ])
+
+(* An lcp commit whose home lost the segment must not report success:
+   the home refuses the Put_batch, so the commit rolls back and the
+   retry, faulting the page again, finds the segment gone. *)
+let test_lcp_commit_to_deleted_segment_fails () =
+  with_env (fun env ->
+      let on_stamp = ref (fun () -> ()) in
+      Cluster.register_class env.sys.cluster
+        (Obj_class.define ~name:"doomed"
+           [
+             Obj_class.entry ~label:Obj_class.Lcp "stamp" (fun ctx arg ->
+                 Memory.set_int ctx.Ctx.mem 0 (Value.to_int arg);
+                 !on_stamp ();
+                 Value.Unit);
+           ]);
+      let obj = Object_manager.create_object env.sys.om ~class_name:"doomed" Value.Unit in
+      let server, seg = data_segment env obj in
+      let store = Dsm.Dsm_server.store server in
+      on_stamp :=
+        (fun () ->
+          if Store.Segment_store.exists store seg then
+            Store.Segment_store.delete_segment store seg);
+      let commits = Atomicity.Manager.commits env.mgr in
+      let retries = Atomicity.Manager.retries env.mgr in
+      let outcome =
+        match direct env obj "stamp" (Value.Int 5) with
+        | _ -> "committed"
+        | exception Ra.Partition.No_segment _ -> "no segment"
+      in
+      Alcotest.(check string) "commit refused" "no segment" outcome;
+      check_int "rolled back and retried once" (retries + 1)
+        (Atomicity.Manager.retries env.mgr);
+      check_int "no commit counted" commits (Atomicity.Manager.commits env.mgr);
+      check_bool "nothing stored" false (Store.Segment_store.exists store seg))
 
 let test_read_only_gcp_releases_locks () =
   with_env (fun env ->
@@ -538,6 +575,8 @@ let () =
             test_lcp_local_consistency;
           Alcotest.test_case "lcp commit sends one put_batch per home" `Quick
             test_lcp_one_put_batch_per_home;
+          Alcotest.test_case "lcp commit to deleted segment fails" `Quick
+            test_lcp_commit_to_deleted_segment_fails;
           Alcotest.test_case "read-only gcp releases locks" `Quick
             test_read_only_gcp_releases_locks;
         ] );

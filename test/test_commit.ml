@@ -82,10 +82,7 @@ let test_in_doubt_from_checkpoint () =
       let store = Dsm.Dsm_server.store server in
       let seg = Ra.Sysname.fresh nd.Ra.Node.names in
       Store.Segment_store.create_segment store seg ~size:Ra.Page.size;
-      let rpc body =
-        Ratp.Endpoint.call n1.Ra.Node.endpoint ~dst:nd.Ra.Node.id
-          ~service:P.service ~size:(P.request_bytes body) body
-      in
+      let rpc body = P.call n1 ~dst:nd.Ra.Node.id body in
       let page = Bytes.make Ra.Page.size '\000' in
       Bytes.blit_string "in-doubt" 0 page 0 8;
       Bytes.set page 5000 '!';

@@ -336,8 +336,6 @@ let test_request_bytes_accounting () =
      the 8K-page transfer calibration does not move *)
   check_int "Got_page ships a full page" (48 + Ra.Page.size)
     (P.request_bytes (P.Got_page (Ra.Partition.Data (Ra.Page.copy sparse))));
-  check_int "Put_page ships a full page" (48 + Ra.Page.size)
-    (P.request_bytes (P.Put_page { seg; page = 0; data = sparse }));
   check_int "Put_batch ships full pages" (48 + 24 + Ra.Page.size)
     (P.request_bytes (P.Put_batch [ (seg, 0, sparse) ]));
   check_int "Overwrite ships full pages" (48 + 24 + Ra.Page.size)
@@ -401,27 +399,71 @@ let test_segment_rpc_lifecycle () =
         P.Create_segment
           { seg; size = Ra.Page.size; mode = Ra.Partition.One_copy }
       in
-      (match
-         Ratp.Endpoint.call cl.n1.Ra.Node.endpoint ~dst:1 ~service:P.service
-           ~size:(P.request_bytes create) create
-       with
+      (match P.call cl.n1 ~dst:1 create with
       | Ok P.Segment_ok -> ()
       | Ok _ | Error _ -> Alcotest.fail "create failed");
-      (match
-         Ratp.Endpoint.call cl.n1.Ra.Node.endpoint ~dst:1 ~service:P.service
-           ~size:(P.request_bytes create) create
-       with
+      (match P.call cl.n1 ~dst:1 create with
       | Ok P.Segment_error -> ()
       | Ok _ | Error _ -> Alcotest.fail "duplicate create not rejected");
       let vs = vspace_for seg ~pages:1 in
       write cl.n1 vs ~addr:0 "x";
-      let del = P.Delete_segment seg in
-      (match
-         Ratp.Endpoint.call cl.n1.Ra.Node.endpoint ~dst:1 ~service:P.service
-           ~size:(P.request_bytes del) del
-       with
+      match P.call cl.n1 ~dst:1 (P.Delete_segment seg) with
       | Ok P.Segment_ok -> ()
-      | Ok _ | Error _ -> Alcotest.fail "delete failed"))
+      | Ok _ | Error _ -> Alcotest.fail "delete failed")
+
+(* A one-copy flush to a segment its home no longer holds must fail
+   loudly and keep the page dirty: a home that dropped the batch while
+   answering Batch_ok would let the client mark the write clean and
+   lose it. *)
+let test_flush_to_deleted_segment_keeps_dirty () =
+  with_cluster (fun cl ->
+      let seg = new_seg cl ~pages:1 in
+      let vs = vspace_for seg ~pages:1 in
+      write cl.n1 vs ~addr:0 "orphan";
+      (match P.call cl.n2 ~dst:1 (P.Delete_segment seg) with
+      | Ok P.Segment_ok -> ()
+      | Ok _ | Error _ -> Alcotest.fail "delete failed");
+      let raised =
+        try
+          Dsm.Dsm_client.flush_segment cl.c1 seg;
+          false
+        with Ra.Partition.No_segment s -> Ra.Sysname.equal s seg
+      in
+      check_bool "flush raises No_segment" true raised;
+      check_bool "page still dirty" true
+        (Ra.Mmu.is_dirty cl.n1.Ra.Node.mmu seg 0))
+
+(* With a one-frame budget, touching a second page evicts the first;
+   its dirty bytes must reach the home store (one Put_batch). *)
+let test_eviction_writes_back () =
+  Sim.exec (fun () ->
+      let ether = Net.Ethernet.create (Sim.engine ()) () in
+      let nd =
+        Ra.Node.create ether ~id:1 ~kind:Ra.Node.Data ~ratp_config:fast_ratp ()
+      in
+      let server = Dsm.Dsm_server.create nd () in
+      let n1 =
+        Ra.Node.create ether ~id:2 ~kind:Ra.Node.Compute
+          ~ratp_config:fast_ratp ~max_frames:1 ()
+      in
+      let c1 = Dsm.Dsm_client.create n1 ~locate:(fun _ -> 1) () in
+      let store = Dsm.Dsm_server.store server in
+      let seg = Ra.Sysname.fresh nd.Ra.Node.names in
+      Store.Segment_store.create_segment store seg ~size:(2 * Ra.Page.size);
+      let vs = vspace_for seg ~pages:2 in
+      write n1 vs ~addr:0 "evicted";
+      check_int "no writeback yet" 0 (Dsm.Dsm_client.put_rpcs c1);
+      write n1 vs ~addr:Ra.Page.size "resident";
+      check_int "one writeback for the evicted frame" 1
+        (Dsm.Dsm_client.put_rpcs c1);
+      check_bool "page 0 evicted" true
+        (Ra.Mmu.resident n1.Ra.Node.mmu seg 0 = None);
+      match Store.Segment_store.read_page store seg 0 with
+      | Ra.Partition.Data d ->
+          Alcotest.(check string)
+            "evicted bytes at the home" "evicted"
+            (Bytes.to_string (Bytes.sub d 0 7))
+      | Ra.Partition.Zeroed -> Alcotest.fail "eviction lost the write")
 
 let test_owner_crash_recovers_stored_state () =
   with_cluster (fun cl ->
@@ -526,9 +568,7 @@ let test_locks_cancellation () =
 (* ------------------------------------------------------------------ *)
 (* Lock service over RaTP + 2PC *)
 
-let rpc cl node body =
-  Ratp.Endpoint.call node.Ra.Node.endpoint ~dst:cl.nd.Ra.Node.id
-    ~service:P.service ~size:(P.request_bytes body) body
+let rpc cl node body = P.call node ~dst:cl.nd.Ra.Node.id body
 
 let test_lock_service_and_abort_release () =
   with_cluster (fun cl ->
@@ -1150,10 +1190,7 @@ let test_merge_delta_resend_applies_once () =
         | Ra.Partition.Data b -> Int64.to_int (Bytes.get_int64_le b 0)
         | Ra.Partition.Zeroed -> 0
       in
-      let send body =
-        Ratp.Endpoint.call n2.Ra.Node.endpoint ~dst:1 ~service:P.service
-          ~size:(P.request_bytes body) body
-      in
+      let send body = P.call n2 ~dst:1 body in
       let delta v =
         let b = Bytes.make Ra.Page.size '\000' in
         Bytes.set_int64_le b 0 (Int64.of_int v);
@@ -1175,9 +1212,17 @@ let test_merge_delta_resend_applies_once () =
       (match send (P.Merge_delta [ (ghost, 0, 9, delta 1) ]) with
       | Ok P.Segment_error -> ()
       | _ -> Alcotest.fail "Merge_delta to a missing segment must error");
-      match send (P.Put_diffs [ (ghost, 0, [ (0, Bytes.make 8 'x') ]) ]) with
+      (match send (P.Put_diffs [ (ghost, 0, [ (0, Bytes.make 8 'x') ]) ]) with
       | Ok P.Segment_error -> ()
-      | _ -> Alcotest.fail "Put_diffs to a missing segment must error")
+      | _ -> Alcotest.fail "Put_diffs to a missing segment must error");
+      (* ... before any entry is applied, even one for a live segment *)
+      (match send (P.Put_batch [ (seg, 0, delta 99); (ghost, 0, delta 1) ]) with
+      | Ok P.Segment_error -> ()
+      | _ -> Alcotest.fail "Put_batch to a missing segment must error");
+      (match send (P.Overwrite [ (seg, 0, delta 99); (ghost, 0, delta 1) ]) with
+      | Ok P.Segment_error -> ()
+      | _ -> Alcotest.fail "Overwrite to a missing segment must error");
+      check_int "rejected batches applied nothing" 10 (word0 ()))
 
 let () =
   Alcotest.run "dsm"
@@ -1192,6 +1237,10 @@ let () =
           Alcotest.test_case "read copies invalidated on write" `Quick
             test_read_copies_invalidated_on_write;
           Alcotest.test_case "flush and drop" `Quick test_flush_and_drop;
+          Alcotest.test_case "flush to deleted segment keeps dirty" `Quick
+            test_flush_to_deleted_segment_keeps_dirty;
+          Alcotest.test_case "eviction writes back" `Quick
+            test_eviction_writes_back;
           Alcotest.test_case "missing segment" `Quick
             test_missing_segment_error;
           Alcotest.test_case "segment rpc lifecycle" `Quick

@@ -703,7 +703,7 @@ let test_mailbox_receivers_fifo () =
     order
 
 (* ------------------------------------------------------------------ *)
-(* Semaphore / Mutex / Condition *)
+(* Semaphore / Mutex *)
 
 let test_semaphore_counts () =
   Sim.exec (fun () ->
@@ -759,53 +759,6 @@ let test_mutex_exception_releases () =
       (try Mutex.with_lock m (fun () -> failwith "boom")
        with Failure _ -> ());
       check_bool "released after exception" false (Mutex.locked m))
-
-let test_condition_signal () =
-  let v =
-    Sim.exec (fun () ->
-        let m = Mutex.create () in
-        let c = Condition.create () in
-        let ready = ref false in
-        let _ =
-          Sim.spawn "signaler" (fun () ->
-              Sim.sleep (Time.ms 2);
-              Mutex.with_lock m (fun () ->
-                  ready := true;
-                  Condition.signal c))
-        in
-        Mutex.lock m;
-        while not !ready do
-          Condition.wait c m
-        done;
-        Mutex.unlock m;
-        Sim.now ())
-  in
-  check_int "woken by signal" (Time.ms 2) v
-
-let test_condition_broadcast () =
-  let n =
-    Sim.exec (fun () ->
-        let m = Mutex.create () in
-        let c = Condition.create () in
-        let woken = ref 0 in
-        let done_ = Semaphore.create 0 in
-        for _ = 1 to 3 do
-          ignore
-            (Sim.spawn "waiter" (fun () ->
-                 Mutex.lock m;
-                 Condition.wait c m;
-                 incr woken;
-                 Mutex.unlock m;
-                 Semaphore.release done_))
-        done;
-        Sim.sleep (Time.ms 1);
-        Mutex.with_lock m (fun () -> Condition.broadcast c);
-        for _ = 1 to 3 do
-          Semaphore.acquire done_
-        done;
-        !woken)
-  in
-  check_int "all woken" 3 n
 
 (* ------------------------------------------------------------------ *)
 (* Rwlock *)
@@ -1009,53 +962,6 @@ let prop_stats_mean_bounds =
       && Stats.mean s <= Stats.max_v s +. 1e-9)
 
 (* ------------------------------------------------------------------ *)
-(* Trace *)
-
-let test_trace_record () =
-  let tr = Trace.create () in
-  Trace.record tr (Time.ms 1) "send" "a";
-  Trace.record tr (Time.ms 2) "recv" "b";
-  check_int "count" 2 (Trace.count tr ());
-  check_int "by tag" 1 (Trace.count tr ~tag:"send" ());
-  Trace.set_enabled tr false;
-  Trace.record tr (Time.ms 3) "send" "c";
-  check_int "disabled drops" 2 (Trace.count tr ());
-  Trace.clear tr;
-  check_int "cleared" 0 (Trace.count tr ())
-
-let test_trace_growable () =
-  (* the store is a growable array: recording far past the initial
-     capacity keeps every entry, in order *)
-  let tr = Trace.create () in
-  for i = 1 to 10_000 do
-    Trace.record tr (Time.us i) "e" (string_of_int i)
-  done;
-  check_int "all kept" 10_000 (Trace.count tr ());
-  let seen = ref 0 in
-  Trace.iter tr (fun e ->
-      incr seen;
-      if int_of_string e.Trace.detail <> !seen then
-        Alcotest.failf "entry %d out of order: %s" !seen e.Trace.detail);
-  check_int "iter visits all" 10_000 !seen
-
-let test_trace_capacity_ring () =
-  (* with [capacity] set the trace is a ring: only the most recent
-     [capacity] entries survive, still in chronological order *)
-  let tr = Trace.create ~capacity:100 () in
-  for i = 1 to 1000 do
-    Trace.record tr (Time.us i) "e" (string_of_int i)
-  done;
-  check_int "bounded" 100 (Trace.count tr ());
-  let ds = List.map (fun e -> int_of_string e.Trace.detail) (Trace.entries tr) in
-  Alcotest.(check int) "oldest kept entry" 901 (List.hd ds);
-  Alcotest.(check int) "newest entry" 1000 (List.nth ds 99);
-  Alcotest.(check (list int)) "chronological" (List.init 100 (fun i -> 901 + i)) ds;
-  Trace.clear tr;
-  check_int "clear resets" 0 (Trace.count tr ());
-  Trace.record tr (Time.us 1) "e" "after";
-  check_int "usable after clear" 1 (Trace.count tr ())
-
-(* ------------------------------------------------------------------ *)
 (* Fanout *)
 
 let test_fanout_order_and_concurrency () =
@@ -1248,11 +1154,6 @@ let () =
           Alcotest.test_case "exception releases" `Quick
             test_mutex_exception_releases;
         ] );
-      ( "condition",
-        [
-          Alcotest.test_case "signal" `Quick test_condition_signal;
-          Alcotest.test_case "broadcast" `Quick test_condition_broadcast;
-        ] );
       ( "rwlock",
         [
           Alcotest.test_case "shared readers" `Quick test_rwlock_shared_readers;
@@ -1288,10 +1189,4 @@ let () =
             test_hist_accuracy_10k;
         ] );
       qsuite "stats-props" [ prop_stats_mean_bounds ];
-      ( "trace",
-        [
-          Alcotest.test_case "record" `Quick test_trace_record;
-          Alcotest.test_case "growable" `Quick test_trace_growable;
-          Alcotest.test_case "capacity ring" `Quick test_trace_capacity_ring;
-        ] );
     ]
