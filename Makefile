@@ -43,22 +43,39 @@ commit-smoke:
 consistency-smoke:
 	dune exec bin/experiments_main.exe -- --quick consistency
 
-# One short seed-1 run of each repository-benchmark workload.  The
-# benchmark exits non-zero on a correctness violation or when its
+# One short traced seed-1 run of each repository-benchmark workload.
+# The benchmark exits non-zero on a correctness violation or when its
 # repetitions' simulated digests differ; each workload's digest must
-# also equal the one pinned in bench/perfbench_digests.
+# also equal the one pinned in bench/perfbench_digests, and its
+# simulated layer metrics the lines pinned in bench/perfbench_layers.
+# The layer lines leave out host costs (events, ns per event, peak
+# queue, words allocated, trace overhead), so a host-only change
+# moves the digest, which counts events, but not the layer lines.
+PERFBENCH_HOST_LAYERS = ^(sim\.events_per_op|sim\.ns_per_event|sim\.peak_pending|host\.|obs\.trace_overhead_pct)
+
 perfbench-smoke:
 	@mkdir -p _build
 	@for w in ns-open gcp-commit dsm-pages; do \
-	  python3 perfbench/run.py --workload $$w --seed 1 --seconds 1 --trace 0 \
+	  python3 perfbench/run.py --workload $$w --seed 1 --seconds 1 --trace 1 \
 	    > _build/perfbench-$$w.out || { cat _build/perfbench-$$w.out; exit 1; }; \
 	  got=$$(sed -n 's/.*simulated digest \([0-9a-f]*\).*/\1/p' _build/perfbench-$$w.out); \
 	  want=$$(awk -v w=$$w '$$1 == w { print $$2 }' bench/perfbench_digests); \
+	  sed -n 's/^layer //p' _build/perfbench-$$w.out | grep -Ev '$(PERFBENCH_HOST_LAYERS)' \
+	    | awk -v w=$$w '{ print w, $$1, $$2, $$3 }' > _build/perfbench-$$w.layers; \
+	  awk -v w=$$w '$$1 == w' bench/perfbench_layers > _build/perfbench-$$w.layers.want; \
 	  if [ -n "$$got" ] && [ "$$got" = "$$want" ]; then \
 	    echo "perfbench-smoke: $$w digest $$got matches"; \
 	  else \
 	    echo "perfbench-smoke: $$w digest '$$got' DRIFTED from '$$want' in bench/perfbench_digests"; \
 	    echo "(intentional? update bench/perfbench_digests and say why in CHANGES.md)"; \
+	    exit 1; \
+	  fi; \
+	  if [ -s _build/perfbench-$$w.layers ] && cmp -s _build/perfbench-$$w.layers.want _build/perfbench-$$w.layers; then \
+	    echo "perfbench-smoke: $$w simulated layer metrics match"; \
+	  else \
+	    echo "perfbench-smoke: $$w simulated layer metrics DRIFTED from bench/perfbench_layers:"; \
+	    diff _build/perfbench-$$w.layers.want _build/perfbench-$$w.layers | head -20; \
+	    echo "(intentional? replace the $$w lines of bench/perfbench_layers with _build/perfbench-$$w.layers and say why in CHANGES.md)"; \
 	    exit 1; \
 	  fi; \
 	done

@@ -24,7 +24,8 @@ type t = {
   cfg : config;
   fault : Fault.t;
   nics : (Address.t, Nic.t) Hashtbl.t;
-  bus : Sim.Mutex.t;
+  mutable by_addr : Nic.t list;  (* ascending address: broadcast order *)
+  mutable bus_free_at : Sim.Time.t;
   frames : Sim.Stats.counter;
   bytes : Sim.Stats.counter;
 }
@@ -35,7 +36,8 @@ let create eng ?(config = default_config) () =
     cfg = config;
     fault = Fault.create eng (Sim.Rng.split (Sim.Engine.rng eng));
     nics = Hashtbl.create 16;
-    bus = Sim.Mutex.create ~label:"ether-bus" ();
+    by_addr = [];
+    bus_free_at = Sim.Time.zero;
     frames = Sim.Stats.counter "ether.frames";
     bytes = Sim.Stats.counter "ether.bytes";
   }
@@ -48,10 +50,14 @@ let attach t addr =
   if Hashtbl.mem t.nics addr then
     invalid_arg "Ethernet.attach: address in use";
   let nic =
-    Nic.create ~addr ~recv_cost_per_frame:t.cfg.recv_cost_per_frame
+    Nic.create t.eng ~addr ~recv_cost_per_frame:t.cfg.recv_cost_per_frame
       ~recv_cost_per_byte_ns:t.cfg.cost_per_byte_ns
   in
   Hashtbl.replace t.nics addr nic;
+  t.by_addr <-
+    List.merge
+      (fun a b -> Address.compare (Nic.addr a) (Nic.addr b))
+      t.by_addr [ nic ];
   nic
 
 let nic t addr = Hashtbl.find_opt t.nics addr
@@ -67,55 +73,61 @@ let wire_time cfg bytes =
   let ns = int_of_float (float_of_int bits /. float_of_int cfg.bandwidth_bps *. 1e9) in
   ns + cfg.frame_gap
 
-(* Delivery happens [propagation] after the wire time ends; faults
-   are evaluated per destination at delivery time.  The fault plan
-   may suppress the frame, deliver extra copies, or push a copy
+(* Faults are evaluated per destination at delivery time.  The fault
+   plan may suppress the frame, deliver extra copies, or push a copy
    later (jitter / reordering). *)
 let deliver t (frame : Frame.t) =
-  let deliver_to addr =
-    let push () =
-      match Hashtbl.find_opt t.nics addr with
-      | Some n -> Nic.deliver n frame
-      | None -> ()
-    in
+  let deliver_to dst push =
     List.iter
       (fun extra ->
         if extra <= 0 then push ()
         else
-          Sim.Engine.at t.eng
-            (Sim.Time.add (Sim.Engine.now t.eng) extra)
-            push)
-      (Fault.plan t.fault ~src:frame.src ~dst:addr frame)
+          Sim.Engine.at t.eng (Sim.Time.add (Sim.Engine.now t.eng) extra) push)
+      (Fault.plan t.fault ~src:frame.src ~dst frame)
   in
   match frame.dst with
-  | Frame.Unicast addr -> deliver_to addr
+  | Frame.Unicast addr ->
+      deliver_to addr
+        (match nic t addr with
+        | Some n -> fun () -> Nic.deliver n frame
+        | None -> ignore)
   | Frame.Broadcast ->
-      let addrs =
-        Hashtbl.fold
-          (fun addr _ acc ->
-            if Address.equal addr frame.src then acc else addr :: acc)
-          t.nics []
-      in
-      List.iter deliver_to (List.sort Address.compare addrs)
+      List.iter
+        (fun n ->
+          let addr = Nic.addr n in
+          if not (Address.equal addr frame.src) then
+            deliver_to addr (fun () -> Nic.deliver n frame))
+        t.by_addr
 
 let host_send_cost cfg (frame : Frame.t) =
   cfg.send_cost_per_frame + (cfg.cost_per_byte_ns * frame.bytes)
 
-let transmit_prepared t (frame : Frame.t) =
+(* The bus is a FIFO server: a frame asking for it now goes on the
+   wire once every frame that asked earlier is off it.  Delivery
+   happens [propagation] after the wire time ends, unless the sender
+   was detached before then (a machine that crashes mid-wire sends
+   nothing; its reserved slot stays used). *)
+let launch t (frame : Frame.t) =
   if frame.bytes - Frame.header_bytes > t.cfg.mtu_payload then
     invalid_arg "Ethernet.transmit: payload exceeds MTU";
-  Sim.Mutex.with_lock t.bus (fun () ->
-      Sim.sleep (wire_time t.cfg frame.bytes);
-      Sim.Stats.incr t.frames;
-      Sim.Stats.incr_by t.bytes frame.bytes;
-      let arrival = Sim.Time.add (Sim.now ()) t.cfg.propagation in
-      Sim.Engine.at t.eng arrival (fun () -> deliver t frame))
+  let start = max (Sim.Engine.now t.eng) t.bus_free_at in
+  let fin = Sim.Time.add start (wire_time t.cfg frame.bytes) in
+  t.bus_free_at <- fin;
+  Sim.Stats.incr t.frames;
+  Sim.Stats.incr_by t.bytes frame.bytes;
+  let arrival = Sim.Time.add fin t.cfg.propagation in
+  (match nic t frame.src with
+  | Some src ->
+      let epoch = Nic.epoch src in
+      Sim.Engine.at t.eng arrival (fun () ->
+          if Nic.up_through src ~epoch fin then deliver t frame)
+  | None -> Sim.Engine.at t.eng arrival (fun () -> deliver t frame));
+  fin
 
 let transmit t (frame : Frame.t) =
-  if frame.bytes - Frame.header_bytes > t.cfg.mtu_payload then
-    invalid_arg "Ethernet.transmit: payload exceeds MTU";
   Sim.sleep (host_send_cost t.cfg frame);
-  transmit_prepared t frame
+  let fin = launch t frame in
+  Sim.sleep (Sim.Time.diff fin (Sim.now ()))
 
 let frames_sent t = Sim.Stats.value t.frames
 let bytes_sent t = Sim.Stats.value t.bytes

@@ -1,13 +1,15 @@
 (** A shared-bus 10 Mbit Ethernet.
 
     One segment connects every machine in the cluster, as in the
-    paper's prototype.  Transmissions serialize on the bus (CSMA/CD
-    modeled as FIFO arbitration); a frame occupies the wire for its
-    size divided by the bandwidth plus a fixed gap, then arrives at
-    the destination NIC(s) after the propagation delay, unless the
-    fault model drops it.  Host-side costs are charged on the sending
-    process (here) and the receiving process ({!Nic.recv}), so bulk
-    transfers naturally pipeline sender processing with wire time. *)
+    paper's prototype.  The bus is a FIFO server (CSMA/CD modeled as
+    FIFO arbitration), kept as a reservation clock: a frame that asks
+    for the bus goes on the wire when every earlier frame is off it,
+    occupies it for its size divided by the bandwidth plus a fixed
+    gap, then arrives at the destination NIC(s) after the propagation
+    delay, unless the fault model drops it.  Host-side costs are
+    charged on the sender (here) and by the receiving NIC from the
+    frame's arrival ({!Nic}), so bulk transfers naturally pipeline
+    sender processing with wire time. *)
 
 type config = {
   bandwidth_bps : int;  (** wire speed; 10 Mbit/s in the paper *)
@@ -38,24 +40,25 @@ val attach : t -> Address.t -> Nic.t
 val nic : t -> Address.t -> Nic.t option
 
 val detach : t -> Address.t -> unit
-(** Take the NIC offline (machine crash).  Frames to it are dropped. *)
+(** Take the NIC offline (machine crash).  Frames to it are dropped,
+    and so are frames it was still receiving or sending. *)
 
 val reattach : t -> Address.t -> unit
 
+val launch : t -> Frame.t -> Sim.Time.t
+(** Ask for the bus now (engine context): reserve the frame's wire
+    time after every frame that asked earlier, count it, schedule its
+    delivery, and return the instant its wire time ends.  A frame
+    whose sender is detached before that instant is never delivered.
+    Raises [Invalid_argument] if the payload exceeds the MTU. *)
+
 val transmit : t -> Frame.t -> unit
 (** Send a frame from a process: charges the sender's host cost,
-    waits for the bus, occupies it for the wire time, and schedules
-    delivery.  Raises [Invalid_argument] if the payload exceeds the
-    MTU. *)
-
-val transmit_prepared : t -> Frame.t -> unit
-(** Like {!transmit} but without charging the sender's host cost: for
-    tx loops that overlap the driver cost of fragment [i+1] with the
-    wire time of fragment [i] and account for it themselves
-    ({!host_send_cost}). *)
+    {!launch}es the frame, and returns when its wire time ends. *)
 
 val host_send_cost : config -> Frame.t -> Sim.Time.span
-(** Sender-side driver cost {!transmit} charges for a frame. *)
+(** Sender-side driver cost {!transmit} charges for a frame; callers
+    of {!launch} account for it themselves. *)
 
 val wire_time : config -> int -> Sim.Time.span
 (** [wire_time cfg bytes] is bus occupancy for a frame of that size. *)

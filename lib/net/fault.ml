@@ -123,17 +123,24 @@ let burst_state t key =
       Hashtbl.replace t.bursts key r;
       r
 
+let no_delay = [ 0 ]
+let no_burst = ref 0 (* never written: bursts only start per link *)
+
 (* The delays (in extra time past normal arrival) of every copy of
    the frame to deliver; [] means the frame is lost.  [frame] is
    [None] when called through the legacy {!deliverable} probe, which
-   bypasses the payload filter. *)
+   bypasses the payload filter.  Until a link profile, cut or burst
+   exists, the per-link tables keyed by (src, dst) are skipped. *)
 let decide t ~src ~dst frame =
-  let key = (src, dst) in
+  let per_link =
+    Hashtbl.length t.links + Hashtbl.length t.cuts + Hashtbl.length t.bursts > 0
+    || t.default_profile.burst > 0.0
+  in
   let drop () =
     t.dropped <- t.dropped + 1;
     []
   in
-  if Hashtbl.mem t.cuts key then drop ()
+  if per_link && Hashtbl.mem t.cuts (src, dst) then drop ()
   else
     let filtered =
       match (t.filter, frame) with
@@ -142,8 +149,8 @@ let decide t ~src ~dst frame =
     in
     if filtered then drop ()
     else
-      let p = profile_for t key in
-      let b = burst_state t key in
+      let p = if per_link then profile_for t (src, dst) else t.default_profile in
+      let b = if per_link then burst_state t (src, dst) else no_burst in
       if !b > 0 then begin
         decr b;
         drop ()
@@ -169,6 +176,7 @@ let decide t ~src ~dst frame =
           t.duplicated <- t.duplicated + 1;
           [ extra; extra + jitter () ]
         end
+        else if extra = 0 then no_delay
         else [ extra ]
       end
 

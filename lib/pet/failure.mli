@@ -12,7 +12,7 @@ val crash_now : Clouds.Cluster.t -> Net.Address.t -> unit
 (** Raises [Invalid_argument] on an unknown node. *)
 
 val restart_at : Clouds.Cluster.t -> Net.Address.t -> Sim.Time.span -> unit
-(** Schedule the machine's restart (NIC + RaTP receive loop; a data
+(** Schedule the machine's restart (NIC + RaTP endpoint; a data
     server also needs {!Dsm.Dsm_server.recover}, which this performs
     when the node is one).  Like {!crash_at}, the address is resolved
     at fire time and an unknown node raises [Invalid_argument] —

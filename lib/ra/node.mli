@@ -44,9 +44,9 @@ val crash : t -> unit
     servers survives — that lives in the [store] library. *)
 
 val restart : t -> unit
-(** Bring the machine back: reattach the NIC and restart the RaTP
-    receive loop.  Memory starts cold; services must be
-    re-registered by the owning subsystem. *)
+(** Bring the machine back: reattach the NIC and reset the RaTP
+    endpoint's transaction state.  Memory starts cold; services must
+    be re-registered by the owning subsystem. *)
 
 val spawn : t -> string -> (unit -> unit) -> Sim.Engine.pid
 (** Spawn a process belonging to this node (dies with it). *)

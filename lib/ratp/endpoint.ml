@@ -95,7 +95,6 @@ type t = {
   retrans_by : Sim.Stats.keyed;
   nacks_by : Sim.Stats.keyed;
   rto_by : Sim.Stats.keyed;
-  mutable rx_pid : Sim.Engine.pid;
 }
 
 let addr t = t.address
@@ -184,14 +183,13 @@ let peer_stats t =
 
 (* --- transmission --------------------------------------------------- *)
 
-(* One tx process per *message*, not per fragment: a single loop
-   pushes every listed fragment, overlapping the host (DMA setup)
-   cost of fragment [i] with the wire time of fragments [0..i-1] as
-   the old process-per-fragment path did, without paying an
-   effect-handler setup per fragment (an 8 K transfer used to spawn
-   six).  [frags] is the fragment indices to put on the wire — the
-   full burst on first transmission, only the missing ones on a
-   selective retransmission. *)
+(* A burst spawns no process: fragment [i] asks for the bus from an
+   engine event once its own driver cost has elapsed since the start
+   of the burst and fragment [i-1] is off the wire, so driver costs
+   overlap the wire time of earlier fragments.  [frags] is the
+   fragment indices to send — the full burst at first, only the
+   missing ones on a selective retransmission.  A crash (NIC detach)
+   abandons the rest of the burst. *)
 let send_frag_list t ~dst ~service ~tid ~kind ~total_size body frags =
   let n = Packet.nfrags_of ~frag_payload total_size in
   let frame_for i =
@@ -203,37 +201,26 @@ let send_frag_list t ~dst ~service ~tid ~kind ~total_size body frags =
       ~payload_bytes:(frag_size + Packet.header_bytes)
       (Packet.Ratp pkt)
   in
-  ignore
-    (Sim.Engine.spawn
-       (Net.Ethernet.engine t.ether)
-       ?group:t.group "ratp-tx"
-       (fun () ->
-         let cfg = Net.Ethernet.config t.ether in
-         let t0 = Sim.now () in
-         List.iter
-           (fun i ->
-             let frame = frame_for i in
-             (* the host is ready to hand fragment [i] to the wire once
-                its own driver cost has elapsed from the start of the
-                burst; by then the bus is usually still busy with the
-                previous fragment, so the cost is hidden *)
-             let ready =
-               Sim.Time.add t0 (Net.Ethernet.host_send_cost cfg frame)
-             in
-             let now = Sim.now () in
-             if Sim.Time.compare ready now > 0 then
-               Sim.sleep (Sim.Time.diff ready now);
-             Net.Ethernet.transmit_prepared t.ether frame)
-           frags))
+  let eng = Net.Ethernet.engine t.ether in
+  let cfg = Net.Ethernet.config t.ether in
+  let t0 = Sim.Engine.now eng in
+  let epoch = Net.Nic.epoch t.nic in
+  let rec launch_from off_wire = function
+    | [] -> ()
+    | i :: rest ->
+        let frame = frame_for i in
+        let ready = Sim.Time.add t0 (Net.Ethernet.host_send_cost cfg frame) in
+        Sim.Engine.at eng (max ready off_wire) (fun () ->
+            if Net.Nic.epoch t.nic = epoch then
+              launch_from (Net.Ethernet.launch t.ether frame) rest)
+  in
+  launch_from t0 frags
 
 let send_fragments t ~dst ~service ~tid ~kind ~total_size body =
   let n = Packet.nfrags_of ~frag_payload total_size in
   send_frag_list t ~dst ~service ~tid ~kind ~total_size body
     (List.init n Fun.id)
 
-(* Acks ride the same prepared-transmit path as every other packet
-   (one "ratp-tx" process with identical timing) instead of a
-   dedicated "ratp-ack" process calling the blocking transmit. *)
 let send_ack t ~dst ~tid ~service =
   send_fragments t ~dst ~service ~tid ~kind:Packet.Ack ~total_size:0
     Packet.Empty
@@ -441,13 +428,6 @@ let handle_packet t ~src (pkt : Packet.t) =
           pc.heard <- true
       | None -> ())
 
-let rec rx_loop t =
-  let frame = Net.Nic.recv t.nic in
-  (match frame.Net.Frame.payload with
-  | Packet.Ratp pkt -> handle_packet t ~src:frame.Net.Frame.src pkt
-  | _ -> ());
-  rx_loop t
-
 let create ether ~addr ?group ?(config = default_config) () =
   let nic = Net.Ethernet.attach ether addr in
   let t =
@@ -469,14 +449,12 @@ let create ether ~addr ?group ?(config = default_config) () =
       retrans_by = Sim.Stats.keyed "ratp.retrans";
       nacks_by = Sim.Stats.keyed "ratp.nacks";
       rto_by = Sim.Stats.keyed "ratp.rto_us";
-      rx_pid = 0;
     }
   in
-  let eng = Net.Ethernet.engine ether in
-  t.rx_pid <-
-    Sim.Engine.spawn eng ?group
-      (Printf.sprintf "ratp-rx-%d" addr)
-      (fun () -> rx_loop t);
+  Net.Nic.set_handler nic (fun frame ->
+      match frame.Net.Frame.payload with
+      | Packet.Ratp pkt -> handle_packet t ~src:frame.Net.Frame.src pkt
+      | _ -> ());
   t
 
 let serve t ~service handler = Hashtbl.replace t.services service handler
@@ -487,16 +465,7 @@ let restart t =
      duplicate-suppression cache of servers that remember us, and
      path round-trip times do not change because we crashed *)
   Tid_table.reset t.clients;
-  Tid_table.reset t.servers;
-  let eng = Net.Ethernet.engine t.ether in
-  (* the previous rx loop is usually already dead (group-killed by the
-     machine crash), but when [restart] is called on its own we must
-     not leave two rx loops racing on the NIC *)
-  Sim.Engine.kill eng t.rx_pid;
-  t.rx_pid <-
-    Sim.Engine.spawn eng ?group:t.group
-      (Printf.sprintf "ratp-rx-%d" t.address)
-      (fun () -> rx_loop t)
+  Tid_table.reset t.servers
 
 let call t ~dst ~service ~size body =
   Sim.sleep proc_cost;

@@ -17,9 +17,11 @@
     SRTT/RTTVAR estimate (Karn's rule: retransmitted transactions
     contribute no samples).
 
-    Each endpoint owns the NIC of one machine and runs a receive loop
-    process; server handlers run in their own processes so a slow
-    handler never blocks reception. *)
+    Each endpoint owns the NIC of one machine.  Packets are handled
+    in engine context the moment the NIC has paid their receive cost,
+    and fragment bursts go on the wire from engine events, so the
+    transport itself runs no process; server handlers run in their
+    own processes so a slow handler never blocks reception. *)
 
 type config = {
   retry_initial : Sim.Time.span;
@@ -61,9 +63,9 @@ val create :
   ?config:config ->
   unit ->
   t
-(** Attach to the Ethernet at [addr] and start the receive loop.
-    [group] tags the endpoint's processes for {!Sim.Engine.kill_group}
-    (machine crash). *)
+(** Attach to the Ethernet at [addr] and handle the NIC's frames.
+    [group] tags the endpoint's handler processes for
+    {!Sim.Engine.kill_group} (machine crash). *)
 
 val addr : t -> Net.Address.t
 val config : t -> config
@@ -86,10 +88,10 @@ val call :
 val restart : t -> unit
 (** After a machine crash ({!Sim.Engine.kill_group} plus NIC detach),
     bring the endpoint back up: discard all transaction state (client
-    table and server cache) and spawn a fresh receive loop.  The
-    sequence space and RTT estimators are kept — reusing a tid would
-    defeat peers' duplicate suppression.  The NIC must be reattached
-    by the caller. *)
+    table and server cache).  Frames the machine was still receiving
+    died with the detach.  The sequence space and RTT estimators are
+    kept — reusing a tid would defeat peers' duplicate suppression.
+    The NIC must be reattached by the caller. *)
 
 val retransmissions : t -> int
 (** Request retransmissions performed by this endpoint (all

@@ -205,6 +205,11 @@ let schedule_at t time thunk = ignore (schedule_cancellable t time thunk)
 let schedule t thunk = schedule_at t t.clock thunk
 let at = schedule_at
 
+type timer = event
+
+let timer = schedule_cancellable
+let cancel (ev : timer) = ev.live <- false
+
 let rec drop_dead t =
   if Evq.is_empty t.events then begin
     if not (Heap.is_empty t.far_order) then begin
@@ -315,9 +320,9 @@ let rec run_proc : t -> proc -> (unit -> unit) -> unit =
 
 (* [spawn] is an ordinary function call: a process spawning a sibling
    pays no effect round-trip (the old E_spawn), and callers that hold
-   the engine — packet delivery, RaTP tx loops, load generators — can
-   spawn straight from engine context.  Group inheritance follows the
-   spawner when one is executing. *)
+   the engine — packet handlers, load generators — can spawn straight
+   from engine context.  Group inheritance follows the spawner when
+   one is executing. *)
 and spawn : t -> ?group:int -> string -> (unit -> unit) -> pid =
  fun t ?group name f ->
   let group =

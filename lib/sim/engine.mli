@@ -40,6 +40,14 @@ val at : t -> Time.t -> (unit -> unit) -> unit
     process operations of {!Process}; it may wake suspended processes
     (fill ivars, send to mailboxes, ...). *)
 
+type timer
+
+val timer : t -> Time.t -> (unit -> unit) -> timer
+(** Like {!at}, but {!cancel} can withdraw the thunk: it then never
+    runs and does not move the clock (a no-op once it has run). *)
+
+val cancel : timer -> unit
+
 val kill : t -> pid -> unit
 (** Terminate a process.  If it is suspended it receives {!Killed}
     immediately; if it is running it dies at its next suspension

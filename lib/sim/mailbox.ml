@@ -65,6 +65,7 @@ let recv_timeout t span =
       let deadline = Time.add (Engine.now eng) span in
       Engine.Process.suspend t.label (fun wake ->
           let state = ref `Waiting in
+          let timer = ref None in
           let w =
             {
               dead = false;
@@ -72,19 +73,22 @@ let recv_timeout t span =
                 (fun v ->
                   if !state = `Waiting && wake (Some v) then begin
                     state := `Got;
+                    Option.iter Engine.cancel !timer;
                     true
                   end
                   else false);
             }
           in
           Queue.add w t.waiters;
-          Engine.at eng deadline (fun () ->
-              if !state = `Waiting then begin
-                state := `Timeout;
-                w.dead <- true;
-                note_dead t;
-                ignore (wake None)
-              end))
+          timer :=
+            Some
+              (Engine.timer eng deadline (fun () ->
+                   if !state = `Waiting then begin
+                     state := `Timeout;
+                     w.dead <- true;
+                     note_dead t;
+                     ignore (wake None)
+                   end)))
 
 let try_recv t = Queue.take_opt t.values
 let length t = Queue.length t.values

@@ -21,7 +21,9 @@ val recv : 'a t -> 'a
 val recv_timeout : 'a t -> Time.span -> 'a option
 (** [recv_timeout t span] is like {!recv} but returns [None] if
     nothing arrives within [span].  A timed-out waiter is purged from
-    the mailbox, so repeated polling does not accumulate state. *)
+    the mailbox, so repeated polling does not accumulate state; a
+    value that arrives first cancels the deadline, which then never
+    runs. *)
 
 val try_recv : 'a t -> 'a option
 (** Dequeue without suspending. *)

@@ -283,6 +283,129 @@ let test_counters () =
       check_int "frames" 2 (Ethernet.frames_sent ether);
       check_int "bytes" (2 * f.Frame.bytes) (Ethernet.bytes_sent ether))
 
+(* ------------------------------------------------------------------ *)
+(* Reservation clocks *)
+
+(* Frames tagged with their index, sent from [src] to node 9. *)
+let tagged ~src ~payload i =
+  Frame.make ~src ~dst:(Frame.Unicast 9) ~payload_bytes:payload
+    (Frame.Raw (string_of_int i))
+
+let tag_of (f : Frame.t) =
+  match f.Frame.payload with Frame.Raw s -> int_of_string s | _ -> -1
+
+let clock_config = { bare_config with frame_gap = Time.us 10 }
+
+(* Each (sender, ready, payload) asks for the bus at [ready] through
+   [Ethernet.launch]; the result is each frame's arrival at node 9. *)
+let launch_arrivals frames =
+  let eng = Engine.create () in
+  let ether = Ethernet.create eng ~config:clock_config () in
+  List.iter (fun a -> ignore (Ethernet.attach ether a)) [ 1; 2; 3; 4; 9 ];
+  let got = ref [] in
+  (match Ethernet.nic ether 9 with
+  | Some n9 ->
+      Nic.set_handler n9 (fun f -> got := (tag_of f, Engine.now eng) :: !got)
+  | None -> ());
+  List.iteri
+    (fun i (src, ready, payload) ->
+      Engine.at eng ready (fun () ->
+          ignore (Ethernet.launch ether (tagged ~src ~payload i))))
+    frames;
+  Engine.run eng;
+  List.sort compare !got
+
+(* The same frames through a bus built from a mutex and sleeps: one
+   process per frame sleeps until [ready], holds the bus for the wire
+   time, and the frame arrives [propagation] after it lets go. *)
+let mutex_arrivals frames =
+  let eng = Engine.create () in
+  let bus = Mutex.create () in
+  let got = ref [] in
+  List.iteri
+    (fun i (src, ready, payload) ->
+      ignore
+        (Engine.spawn eng "sender" (fun () ->
+             Sim.sleep ready;
+             let f = tagged ~src ~payload i in
+             Mutex.with_lock bus (fun () ->
+                 Sim.sleep (Ethernet.wire_time clock_config f.Frame.bytes));
+             got := (i, Time.add (Sim.now ()) clock_config.propagation) :: !got)))
+    frames;
+  Engine.run eng;
+  List.sort compare !got
+
+let prop_launch_matches_mutex_bus =
+  QCheck.Test.make ~name:"launch = mutex-and-sleep bus" ~count:200
+    QCheck.(
+      list_of_size Gen.(1 -- 12)
+        (triple (int_range 1 4) (int_range 0 3000) (int_range 0 1482)))
+    (fun specs ->
+      let frames =
+        List.map (fun (src, ready_us, payload) -> (src, Time.us ready_us, payload)) specs
+      in
+      launch_arrivals frames = mutex_arrivals frames)
+
+let test_rx_fifo () =
+  (* The receive cost (2 ms) exceeds the wire time (1 ms): the second
+     frame waits for the first one's cost before its own starts. *)
+  let config = { bare_config with recv_cost_per_frame = Time.ms 2 } in
+  let eng = Engine.create () in
+  let ether = Ethernet.create eng ~config () in
+  List.iter (fun a -> ignore (Ethernet.attach ether a)) [ 1; 2; 9 ];
+  let handled = ref [] in
+  (match Ethernet.nic ether 9 with
+  | Some n9 -> Nic.set_handler n9 (fun _ -> handled := Engine.now eng :: !handled)
+  | None -> ());
+  List.iter
+    (fun src ->
+      Engine.at eng 0 (fun () ->
+          ignore
+            (Ethernet.launch ether
+               (tagged ~src ~payload:(1000 - Frame.header_bytes) src))))
+    [ 1; 2 ];
+  Engine.run eng;
+  (* arrivals at 1.005 and 2.005 ms *)
+  Alcotest.(check (list int))
+    "handled back to back"
+    [ Time.ms 3 + Time.us 5; Time.ms 5 + Time.us 5 ]
+    (List.rev !handled)
+
+(* One 1000-byte frame from node 1 (on the wire 0..1 ms, arriving at
+   1.005 ms) with node 1 detached at [detach_at]. *)
+let delivered_despite_detach detach_at =
+  let eng = Engine.create () in
+  let ether = Ethernet.create eng ~config:bare_config () in
+  ignore (Ethernet.attach ether 1);
+  let n9 = Ethernet.attach ether 9 in
+  Engine.at eng 0 (fun () ->
+      ignore
+        (Ethernet.launch ether
+           (tagged ~src:1 ~payload:(1000 - Frame.header_bytes) 0)));
+  Engine.at eng detach_at (fun () -> Ethernet.detach ether 1);
+  Engine.run eng;
+  Nic.try_recv n9 <> None
+
+let test_sender_crash_mid_wire () =
+  check_bool "detached mid-wire: nothing arrives" false
+    (delivered_despite_detach (Time.us 500));
+  check_bool "detached after the wire time: the frame arrives" true
+    (delivered_despite_detach (Time.ms 1 + Time.us 2))
+
+let test_receiver_crash_drops_queued () =
+  (* A frame whose receive cost is still being paid when its machine
+     detaches is never handed over, even after a reattach. *)
+  let config = { bare_config with recv_cost_per_frame = Time.ms 2 } in
+  let eng = Engine.create () in
+  let ether = Ethernet.create eng ~config () in
+  ignore (Ethernet.attach ether 1);
+  let n9 = Ethernet.attach ether 9 in
+  Engine.at eng 0 (fun () -> ignore (Ethernet.launch ether (tagged ~src:1 ~payload:10 0)));
+  Engine.at eng (Time.ms 1) (fun () -> Ethernet.detach ether 9);
+  Engine.at eng (Time.us 1500) (fun () -> Ethernet.reattach ether 9);
+  Engine.run eng;
+  check_bool "queued frame dropped" true (Nic.try_recv n9 = None)
+
 let prop_wire_time_monotonic =
   QCheck.Test.make ~name:"wire time monotonic in size" ~count:100
     QCheck.(pair (int_range 0 10_000) (int_range 0 10_000))
@@ -321,5 +444,13 @@ let () =
           Alcotest.test_case "timed partition" `Quick test_partition_for;
           Alcotest.test_case "payload filter" `Quick test_filter;
         ] );
-      qsuite "props" [ prop_wire_time_monotonic ];
+      ( "clocks",
+        [
+          Alcotest.test_case "rx fifo back to back" `Quick test_rx_fifo;
+          Alcotest.test_case "sender crash mid-wire" `Quick
+            test_sender_crash_mid_wire;
+          Alcotest.test_case "receiver crash drops queued frame" `Quick
+            test_receiver_crash_drops_queued;
+        ] );
+      qsuite "props" [ prop_wire_time_monotonic; prop_launch_matches_mutex_bus ];
     ]

@@ -228,26 +228,152 @@ let test_server_crash_times_out () =
   | Error Endpoint.Timeout -> ()
   | Ok _ -> Alcotest.fail "crashed server must not reply"
 
-let test_restart_single_rx_loop () =
-  (* Regression: [restart] used to spawn a fresh rx loop while the old
-     one kept running, so every restart added a duplicate reader
-     racing for packets. *)
-  let rx_loops, reply =
+let test_restart_no_rx_process () =
+  (* Reception runs in engine context: no receive process exists, a
+     restart spawns none, and a call after two restarts runs its
+     handler exactly once. *)
+  let rx_procs, runs, reply =
     with_pair (fun _ether a b ->
-        serve_echo b;
+        let runs = ref 0 in
+        Endpoint.serve b ~service:echo_service (fun ~src:_ body ->
+            incr runs;
+            match body with
+            | Echo s -> (Echo (s ^ "!"), String.length s + 1)
+            | _ -> (Echo "?", 1));
         Endpoint.restart b;
         Endpoint.restart b;
-        let rx_loops =
+        let rx_procs =
           Engine.procs (Sim.engine ())
-          |> List.filter (fun (_, name) -> name = "ratp-rx-2")
+          |> List.filter (fun (_, name) ->
+                 String.length name >= 7 && String.sub name 0 7 = "ratp-rx")
           |> List.length
         in
-        (rx_loops, Endpoint.call a ~dst:2 ~service:echo_service ~size:5 (Echo "hi")))
+        let reply =
+          Endpoint.call a ~dst:2 ~service:echo_service ~size:5 (Echo "hi")
+        in
+        (rx_procs, !runs, reply))
   in
-  check_int "one rx loop after two restarts" 1 rx_loops;
+  check_int "no ratp-rx process" 0 rx_procs;
+  check_int "handler ran once" 1 runs;
   match reply with
   | Ok (Echo "hi!") -> ()
   | Ok _ | Error _ -> Alcotest.fail "call after restart failed"
+
+let test_no_stale_frames_after_restart () =
+  (* Regression: frames a machine had received but not yet processed
+     when it crashed used to survive in its NIC queue and be handled
+     after the restart.  Five clients call node 2 at t=0; node 2
+     crashes at 1.5 ms, while their requests are still in its receive
+     path, and restarts at 2 ms.  Those requests died with it: no
+     handler runs before the clients' first retry. *)
+  let early, oks =
+    Sim.exec (fun () ->
+        let eng = Sim.engine () in
+        let ether = Net.Ethernet.create eng () in
+        let b = Endpoint.create ether ~addr:2 ~group:2 () in
+        let runs = ref [] in
+        Endpoint.serve b ~service:echo_service (fun ~src:_ body ->
+            runs := Sim.now () :: !runs;
+            (body, 8));
+        let clients =
+          List.map (fun addr -> Endpoint.create ether ~addr ()) [ 3; 4; 5; 6; 7 ]
+        in
+        let oks = ref 0 and finished = Semaphore.create 0 in
+        List.iter
+          (fun c ->
+            ignore
+              (Sim.spawn "caller" (fun () ->
+                   (match
+                      Endpoint.call c ~dst:2 ~service:echo_service ~size:8
+                        (Echo "x")
+                    with
+                   | Ok _ -> incr oks
+                   | Error _ -> ());
+                   Semaphore.release finished)))
+          clients;
+        ignore
+          (Sim.spawn "crash" (fun () ->
+               Sim.sleep (Time.us 1500);
+               Net.Ethernet.detach ether 2;
+               Engine.kill_group eng 2;
+               Sim.sleep (Time.us 500);
+               Net.Ethernet.reattach ether 2;
+               Endpoint.restart b));
+        List.iter (fun _ -> Semaphore.acquire finished) clients;
+        let first_retry = Endpoint.default_config.retry_initial in
+        (List.length (List.filter (fun t -> t < first_retry) !runs), !oks))
+  in
+  check_int "handler runs before the first retry" 0 early;
+  check_int "every call completes on retry" 5 oks
+
+let test_crash_abandons_burst () =
+  (* Node 1 sends an 8 KB request (6 fragments) and crashes at 2 ms,
+     while fragment 0 is still on the wire: that fragment never
+     arrives and the other five never reach the bus. *)
+  let frames, cached =
+    Sim.exec (fun () ->
+        let eng = Sim.engine () in
+        let ether = Net.Ethernet.create eng () in
+        let a = Endpoint.create ether ~addr:1 ~group:1 () in
+        let b = Endpoint.create ether ~addr:2 () in
+        serve_echo b;
+        ignore
+          (Engine.spawn eng ~group:1 "caller" (fun () ->
+               ignore
+                 (Endpoint.call a ~dst:2 ~service:echo_service ~size:8192
+                    (Blob 8192))));
+        Sim.sleep (Time.ms 2);
+        Net.Ethernet.detach ether 1;
+        Engine.kill_group eng 1;
+        Sim.sleep (Time.ms 100);
+        (Net.Ethernet.frames_sent ether, Endpoint.server_cache_size b))
+  in
+  check_int "only fragment 0 reached the bus" 1 frames;
+  check_int "nothing arrived at the server" 0 cached
+
+let test_frame_costs_three_steps () =
+  (* A lossless unicast RaTP frame costs three engine events: asking
+     for the bus, arriving, and reaching RaTP once its receive cost is
+     paid.  The frame is the ack of a call whose own ack was dropped,
+     so its arrival is visible as the server's cached reply going. *)
+  let eng = Engine.create () in
+  let ether = Net.Ethernet.create eng () in
+  let a = Endpoint.create ether ~addr:1 () in
+  let b = Endpoint.create ether ~addr:2 () in
+  serve_echo b;
+  let fault = Net.Ethernet.fault ether in
+  Net.Fault.set_filter fault (fun ~src:_ ~dst:_ frame ->
+      match frame.Net.Frame.payload with
+      | Packet.Ratp { Packet.kind = Ack; _ } -> false
+      | _ -> true);
+  ignore
+    (Engine.spawn eng "caller" (fun () ->
+         ignore (Endpoint.call a ~dst:2 ~service:echo_service ~size:8 (Echo "x"))));
+  Engine.run ~until:(Time.ms 100) eng;
+  check_int "reply cached" 1 (Endpoint.server_cache_size b);
+  Net.Fault.clear_filter fault;
+  let ack =
+    Net.Frame.make ~src:1 ~dst:(Net.Frame.Unicast 2)
+      ~payload_bytes:Packet.header_bytes
+      (Packet.Ratp
+         {
+           Packet.tid = { Packet.origin = 1; seq = 0 };
+           service = echo_service;
+           kind = Ack;
+           frag = 0;
+           nfrags = 1;
+           total_size = 0;
+           body = Packet.Empty;
+         })
+  in
+  Engine.at eng (Engine.now eng) (fun () ->
+      ignore (Net.Ethernet.launch ether ack));
+  let steps = ref 0 in
+  while Endpoint.server_cache_size b > 0 && Engine.step eng do
+    incr steps
+  done;
+  check_int "cache released by the ack" 0 (Endpoint.server_cache_size b);
+  check_int "engine steps for one frame" 3 !steps
 
 let test_selective_fragment_loss () =
   (* A 4000-byte request fragments into three frames; the middle one
@@ -690,8 +816,14 @@ let () =
             test_slow_handler_single_execution;
           Alcotest.test_case "server crash times out" `Quick
             test_server_crash_times_out;
-          Alcotest.test_case "restart keeps a single rx loop" `Quick
-            test_restart_single_rx_loop;
+          Alcotest.test_case "restart leaves no rx process" `Quick
+            test_restart_no_rx_process;
+          Alcotest.test_case "no stale frames after restart" `Quick
+            test_no_stale_frames_after_restart;
+          Alcotest.test_case "crash abandons its burst" `Quick
+            test_crash_abandons_burst;
+          Alcotest.test_case "one frame, three events" `Quick
+            test_frame_costs_three_steps;
           Alcotest.test_case "selective fragment loss" `Quick
             test_selective_fragment_loss;
           Alcotest.test_case "busy does not burn attempts" `Quick

@@ -635,6 +635,24 @@ let test_mailbox_timeout_delivers () =
   in
   Alcotest.(check (option int)) "delivered" (Some 1) r
 
+let test_mailbox_answered_deadline_never_runs () =
+  (* A value that beats the deadline cancels it: the run ends at the
+     send, not 10 s later at a deadline that would do nothing. *)
+  let eng = Engine.create () in
+  let got = ref None in
+  let mb = Mailbox.create "mb" in
+  ignore
+    (Engine.spawn eng "receiver" (fun () ->
+         got := Mailbox.recv_timeout mb (Time.sec 10)));
+  ignore
+    (Engine.spawn eng "sender" (fun () ->
+         Sim.sleep (Time.ms 1);
+         Mailbox.send mb 7));
+  Engine.run eng;
+  Alcotest.(check (option int)) "delivered" (Some 7) !got;
+  check_int "deadline never ran" (Time.ms 1) (Engine.now eng);
+  check_int "nothing left queued" 0 (Engine.pending eng)
+
 let test_mailbox_value_not_lost_on_timeout () =
   (* If the receiver times out, a later send must stay in the queue. *)
   let r =
@@ -1136,6 +1154,8 @@ let () =
             test_mailbox_timeout_delivers;
           Alcotest.test_case "value kept after timeout" `Quick
             test_mailbox_value_not_lost_on_timeout;
+          Alcotest.test_case "answered deadline never runs" `Quick
+            test_mailbox_answered_deadline_never_runs;
           Alcotest.test_case "receivers fifo" `Quick
             test_mailbox_receivers_fifo;
           Alcotest.test_case "waiter queue bounded" `Quick
