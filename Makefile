@@ -53,6 +53,14 @@ consistency-smoke:
 # moves the digest, which counts events, but not the layer lines.
 PERFBENCH_HOST_LAYERS = ^(sim\.events_per_op|sim\.ns_per_event|sim\.peak_pending|host\.|obs\.trace_overhead_pct)
 
+# Ceilings on host.major_direct_words_per_op.  Page-sized copies are
+# the bulk of direct major-heap allocation, and an 8 KB page is 1,025
+# words: a gcp-commit transaction copies no page at all, and dsm-pages
+# copies one per write fault and one per downgrade (about 1.4 pages
+# per op; read faults share the image).  A ceiling, not a pin,
+# because allocation counts shift a little between OCaml versions.
+PERFBENCH_MAJOR_CEILINGS = gcp-commit=1025 dsm-pages=2050
+
 perfbench-smoke:
 	@mkdir -p _build
 	@for w in ns-open gcp-commit dsm-pages; do \
@@ -76,6 +84,16 @@ perfbench-smoke:
 	    echo "perfbench-smoke: $$w simulated layer metrics DRIFTED from bench/perfbench_layers:"; \
 	    diff _build/perfbench-$$w.layers.want _build/perfbench-$$w.layers | head -20; \
 	    echo "(intentional? replace the $$w lines of bench/perfbench_layers with _build/perfbench-$$w.layers and say why in CHANGES.md)"; \
+	    exit 1; \
+	  fi; \
+	  ceil=$$(echo '$(PERFBENCH_MAJOR_CEILINGS)' | tr ' ' '\n' | sed -n "s/^$$w=//p"); \
+	  major=$$(awk '$$1 == "layer" && $$2 == "host.major_direct_words_per_op" { print $$3 }' _build/perfbench-$$w.out); \
+	  if [ -z "$$ceil" ]; then :; \
+	  elif [ -n "$$major" ] && awk -v m="$$major" -v c="$$ceil" 'BEGIN { exit !(m <= c) }'; then \
+	    echo "perfbench-smoke: $$w major-direct words/op $$major within the ceiling of $$ceil"; \
+	  else \
+	    echo "perfbench-smoke: $$w major-direct words/op '$$major' over the ceiling of $$ceil"; \
+	    echo "(a page-sized copy is back: pages are copied only where they leave an MMU frame (Mmu.dirty_pages, Mmu.downgrade, the twin) or enter a write-mode one (Page.to_frame); Protocol messages, the WAL, the prepared table and Segment_store share Page.image values)"; \
 	    exit 1; \
 	  fi; \
 	done

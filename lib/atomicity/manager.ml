@@ -285,15 +285,19 @@ let hook t node seg _page mode =
 (* --- commit -------------------------------------------------------- *)
 
 (* Collect this transaction's dirty pages, grouped by home data
-   server, remembering where each frame lives for mark_clean. *)
+   server, remembering where each frame lives for mark_clean.  A gcp
+   commit's redo images travel and are logged compact, so they are
+   compacted straight from the frames; an lcp Put_batch ships full
+   pages. *)
 let collect_writes t st =
+  let compact = st.scope = Global in
   let by_home : (Net.Address.t, P.write_set ref) Hashtbl.t = Hashtbl.create 4 in
   let frames = ref [] in
   List.iter
     (fun node ->
       List.iter
         (fun seg ->
-          let dirty = Ra.Mmu.dirty_pages node.Ra.Node.mmu seg in
+          let dirty = Ra.Mmu.dirty_pages node.Ra.Node.mmu seg ~compact in
           if dirty <> [] then begin
             let home = Cl.locate_segment t.cl seg in
             let cell =
@@ -340,14 +344,7 @@ let commit t st =
   let grouped, frames = collect_writes t st in
   match st.scope with
   | Global ->
-      (* redo images travel and are logged compact: the participant
-         keeps them as they arrive and its store expands them *)
       let prepare (home, writes) =
-        let writes =
-          List.map
-            (fun (seg, page, data) -> (seg, page, Ra.Page.compact data))
-            writes
-        in
         (home, P.Prepare { txn = st.txn; writes })
       in
       let all_yes =

@@ -378,7 +378,7 @@ let code_bytes class_name page =
   for i = 0 to Ra.Page.size - 1 do
     Bytes.set b i (Char.chr ((seed + i) land 0xff))
   done;
-  b
+  Ra.Page.adopt b
 
 let register_class t (cls : Obj_class.t) =
   if Hashtbl.mem t.classes cls.Obj_class.c_name then

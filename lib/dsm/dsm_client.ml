@@ -69,7 +69,6 @@ let locate_cached t seg =
       home
 
 let forget_location t seg = Ra.Sysname.Table.remove t.loc_cache seg
-let reset_location_cache t = Ra.Sysname.Table.reset t.loc_cache
 
 (* Selective eviction for placement-ring remaps: only the bindings the
    predicate condemns (the moved arc) are dropped; everything else
@@ -254,8 +253,7 @@ let partition t =
   {
     Ra.Partition.name = Printf.sprintf "dsm-client-%d" t.node.Ra.Node.id;
     fetch = (fun ~seg ~page ~mode -> remote_fetch t ~seg ~page ~mode);
-    writeback =
-      (fun ~seg ~page data -> write_batch t seg [ (seg, page, data) ]);
+    writeback = (fun ~seg ~page img -> write_batch t seg [ (seg, page, img) ]);
   }
 
 let create node ~locate ?(consistency = fun _ -> Ra.Partition.One_copy)
@@ -316,17 +314,18 @@ let create node ~locate ?(consistency = fun _ -> Ra.Partition.One_copy)
 
 (* Maximal runs of bytes that differ from the twin.  Pages are
    always Page.size, so only the common length matters. *)
-let diff_spans ~base ~current =
-  let n = min (Bytes.length base) (Bytes.length current) in
+let diff_spans ~(base : Ra.Page.image) ~(current : Ra.Page.image) =
+  let base = (base :> string) and current = (current :> string) in
+  let n = min (String.length base) (String.length current) in
   let spans = ref [] in
   let i = ref 0 in
   while !i < n do
-    if Bytes.get base !i <> Bytes.get current !i then begin
+    if base.[!i] <> current.[!i] then begin
       let j = ref (!i + 1) in
-      while !j < n && Bytes.get base !j <> Bytes.get current !j do
+      while !j < n && base.[!j] <> current.[!j] do
         incr j
       done;
-      spans := (!i, Bytes.sub current !i (!j - !i)) :: !spans;
+      spans := (!i, String.sub current !i (!j - !i)) :: !spans;
       i := !j
     end
     else incr i
@@ -346,7 +345,7 @@ let flush_release t seg dirty =
       (fun (page, data) ->
         match Ra.Mmu.page_base mmu seg page with
         | Some base -> (seg, page, diff_spans ~base ~current:data)
-        | None -> (seg, page, [ (0, data) ]))
+        | None -> (seg, page, [ (0, (data :> string)) ]))
       dirty
   in
   match home_call t seg t.puts (P.Put_diffs entries) with
@@ -385,7 +384,7 @@ let flush_merges t seg op dirty =
         let base =
           match Ra.Mmu.page_base mmu seg page with
           | Some b -> b
-          | None -> Bytes.make (Bytes.length data) '\000'
+          | None -> Ra.Page.zero
         in
         ( seg,
           page,
@@ -405,7 +404,7 @@ let flush_merges t seg op dirty =
    diffs for release mode, merge deltas for commutative. *)
 let flush_segment t seg =
   let mmu = t.node.Ra.Node.mmu in
-  match Ra.Mmu.dirty_pages mmu seg with
+  match Ra.Mmu.dirty_pages mmu seg ~compact:false with
   | [] -> ()
   | dirty -> (
       match t.mode_of seg with
@@ -435,7 +434,6 @@ let drop_segment t seg =
 let remote_fetches t = Sim.Stats.value t.fetches
 let put_rpcs t = Sim.Stats.value t.puts
 let invalidations_received t = Sim.Stats.value t.invals
-let downgrades_received t = Sim.Stats.value t.downs
 let location_hits t = Sim.Stats.value t.loc_hits
 let location_misses t = Sim.Stats.value t.loc_misses
 let location_evictions t = Sim.Stats.value t.loc_evictions

@@ -67,11 +67,6 @@ val drop_segment : t -> Ra.Sysname.t -> unit
     registrations at the home so no later write fault invalidates
     copies that are already gone. *)
 
-val reset_location_cache : t -> unit
-(** Drop every cached segment-to-home binding (placement may change
-    across restarts).  Individual entries are already dropped
-    whenever their home stops answering. *)
-
 val evict_where : t -> (Ra.Sysname.t -> Net.Address.t -> bool) -> int
 (** Drop exactly the cached locations the predicate condemns (segment,
     cached home) and return how many were evicted — used on a
@@ -91,7 +86,6 @@ val put_rpcs : t -> int
     evicted dirty frame) and per release-mode [Put_diffs]. *)
 
 val invalidations_received : t -> int
-val downgrades_received : t -> int
 
 val location_hits : t -> int
 (** Faults whose home resolution was served from the location cache. *)

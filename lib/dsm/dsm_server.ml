@@ -15,11 +15,10 @@ end)
 (* What a participant remembers about a prepared transaction: the
    page images to apply at commit, and (under group commit) the
    before-images recovery needs to undo a crash-window apply.  Both
-   stay in the {!Ra.Page.compact} encoding they were logged in; the
-   store expands them when they are applied. *)
+   are the compact images the WAL record holds, shared, not copied. *)
 type prep_entry = {
   writes : P.write_set;
-  undo : (Ra.Sysname.t * int * bytes option) list;
+  undo : Store.Wal.undo list;
 }
 
 type t = {
@@ -45,7 +44,8 @@ type t = {
   warmed : unit Ra.Sysname.Table.t;
       (* segments whose backing file has been read at least once; the
          first touch pays a disk read (cold buffer cache) *)
-  merge_applied : (Net.Address.t * Ra.Sysname.t * int, int * bytes) Hashtbl.t;
+  merge_applied :
+    (Net.Address.t * Ra.Sysname.t * int, int * Ra.Page.image) Hashtbl.t;
       (* last (twin-stamp, delta) combined per (client, page): a
          Merge_delta re-sent after a client-visible timeout repeats
          its stamp, and only the difference against the recorded
@@ -107,11 +107,17 @@ let owner_state t key =
 let join_copyset st src =
   if not (List.mem src st.copyset) then st.copyset <- src :: st.copyset
 
-(* The current store image of a page, zero-filled if never written. *)
+(* Pages leave a data server as full pages: the store keeps commit
+   images compact, so serving widens them. *)
+let served = function
+  | Ra.Partition.Data img -> Ra.Partition.Data (Ra.Page.widen img)
+  | Ra.Partition.Zeroed -> Ra.Partition.Zeroed
+
+(* The current store image of a page, the zero page if never written. *)
 let page_image t seg page =
   match Store.Segment_store.read_page t.store seg page with
-  | Ra.Partition.Data b -> b
-  | Ra.Partition.Zeroed -> Bytes.make Ra.Page.size '\000'
+  | Ra.Partition.Data img -> img
+  | Ra.Partition.Zeroed -> Ra.Page.zero
 
 (* A batch naming a segment this store lacks is refused whole, before
    anything is applied: dropping its entries while replying success
@@ -346,10 +352,10 @@ let collect_extras t ~src seg page window =
         else
           match Store.Segment_store.read_page t.store seg p with
           | Ra.Partition.Zeroed -> List.rev acc
-          | Ra.Partition.Data b ->
+          | Ra.Partition.Data img ->
               join_copyset est src;
               Sim.Stats.incr t.prefetched;
-              go (p + 1) ((p, b) :: acc) (n + 1)
+              go (p + 1) ((p, Ra.Page.widen img) :: acc) (n + 1)
   in
   go (page + 1) [] 0
 
@@ -390,7 +396,7 @@ let handle_get t ~src seg page mode window =
                 Sim.Stats.incr_by t.deferred skipped;
                 join_copyset st src));
         Sim.Stats.incr t.served;
-        let main = Store.Segment_store.read_page t.store seg page in
+        let main = served (Store.Segment_store.read_page t.store seg page) in
         let extras =
           match mode with
           | Ra.Partition.Read when window > 0 ->
@@ -473,7 +479,7 @@ let handle_prepare t txn writes =
               Hashtbl.add seen (seg, page) ();
               let before =
                 match Store.Segment_store.read_page t.store seg page with
-                | Ra.Partition.Data b -> Some (Ra.Page.compact b)
+                | Ra.Partition.Data img -> Some (Ra.Page.trim img)
                 | Ra.Partition.Zeroed -> None
               in
               Some (seg, page, before)
@@ -582,16 +588,17 @@ let handle t ~src body =
         let images =
           List.map
             (fun (seg, page, spans) ->
-              let cur = page_image t seg page in
+              let cur = Ra.Page.to_frame (page_image t seg page) in
               List.iter
                 (fun (off, b) ->
                   let len =
-                    min (Bytes.length b) (max 0 (Bytes.length cur - off))
+                    min (String.length b) (max 0 (Bytes.length cur - off))
                   in
-                  if off >= 0 && len > 0 then Bytes.blit b 0 cur off len)
+                  if off >= 0 && len > 0 then Bytes.blit_string b 0 cur off len)
                 spans;
-              Store.Segment_store.write_page t.store seg page cur;
-              (seg, page, cur))
+              let img = Ra.Page.adopt cur in
+              Store.Segment_store.write_page t.store seg page img;
+              (seg, page, img))
             entries
         in
         release_flush t images ~except:src;
@@ -638,14 +645,18 @@ let handle t ~src body =
                       Some delta
                 end
               in
-              let into = page_image t seg page in
-              (match effective with
-              | Some d ->
-                  Ra.Partition.apply_merge op ~into d;
-                  Store.Segment_store.write_page t.store seg page into;
-                  Sim.Stats.incr t.merges
-              | None -> ());
-              (seg, page, into))
+              let img =
+                match effective with
+                | Some d ->
+                    let into = Ra.Page.to_frame (page_image t seg page) in
+                    Ra.Partition.apply_merge op ~into d;
+                    let img = Ra.Page.adopt into in
+                    Store.Segment_store.write_page t.store seg page img;
+                    Sim.Stats.incr t.merges;
+                    img
+                | None -> Ra.Page.widen (page_image t seg page)
+              in
+              (seg, page, img))
             deltas
         in
         mirror_writes t merged;
@@ -715,7 +726,8 @@ let handle t ~src body =
           else
             match Store.Segment_store.read_page t.store seg p with
             | Ra.Partition.Zeroed -> go (p + 1) acc
-            | Ra.Partition.Data b -> go (p + 1) ((p, b) :: acc)
+            | Ra.Partition.Data img ->
+                go (p + 1) ((p, Ra.Page.widen img) :: acc)
         in
         P.Pages { size; pages = go from [] }
       end
@@ -913,7 +925,6 @@ let invalidations_sent t = Sim.Stats.value t.invals
 let downgrades_sent t = Sim.Stats.value t.downs
 let commits t = Sim.Stats.value t.commit_count
 let aborts t = Sim.Stats.value t.abort_count
-let mirrored_writes t = Sim.Stats.value t.mirrored
 let deferred_invals t = Sim.Stats.value t.deferred
 let release_flush_bursts t = Sim.Stats.value t.flush_bursts
 let merges_applied t = Sim.Stats.value t.merges

@@ -120,9 +120,6 @@ val downgrades_sent : t -> int
 val commits : t -> int
 val aborts : t -> int
 
-val mirrored_writes : t -> int
-(** Page images forwarded to backups over this server's lifetime. *)
-
 val deferred_invals : t -> int
 (** Per-copy invalidations skipped by relaxed-mode write faults. *)
 

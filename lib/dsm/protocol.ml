@@ -2,7 +2,7 @@ type txn_id = { tnode : int; tseq : int }
 
 type lock_kind = R | W
 
-type write_set = (Ra.Sysname.t * int * bytes) list
+type write_set = (Ra.Sysname.t * int * Ra.Page.image) list
 
 type Ratp.Packet.body +=
   | Get_page of {
@@ -14,16 +14,16 @@ type Ratp.Packet.body +=
   | Got_page of Ra.Partition.fetch_data
   | Got_pages of {
       main : Ra.Partition.fetch_data;
-      extras : (int * bytes) list;
+      extras : (int * Ra.Page.image) list;
     }
   | Page_error
   | Put_batch of write_set
   | Overwrite of write_set
   | Batch_ok
   | Invalidate of { seg : Ra.Sysname.t; page : int }
-  | Invalidated of { dirty : bytes option }
+  | Invalidated of { dirty : Ra.Page.image option }
   | Downgrade of { seg : Ra.Sysname.t; page : int }
-  | Downgraded of { dirty : bytes option }
+  | Downgraded of { dirty : Ra.Page.image option }
   | Create_segment of {
       seg : Ra.Sysname.t;
       size : int;
@@ -54,7 +54,7 @@ type Ratp.Packet.body +=
       (** Bulk replica read for re-replication: returns up to [count]
           non-zero pages starting at [from], with no effect on the
           owner or copyset tables. *)
-  | Pages of { size : int; pages : (int * bytes) list }
+  | Pages of { size : int; pages : (int * Ra.Page.image) list }
   | Mirror_writes of write_set
       (** Committed writes forwarded by a segment's primary to its
           backups; applied to the store without further forwarding. *)
@@ -71,12 +71,12 @@ type Ratp.Packet.body +=
           when the scope's dirty pages land at the home.  The copy is
           dropped without returning dirty data (an unflushed write on
           an invalidated release page was outside lock discipline). *)
-  | Put_diffs of (Ra.Sysname.t * int * (int * bytes) list) list
+  | Put_diffs of (Ra.Sysname.t * int * (int * string) list) list
       (** Release-mode writeback: per page, the byte spans (offset,
           bytes) that changed against the twin.  Sub-page application
           keeps concurrent writers to disjoint bytes of one page from
           clobbering each other (the classic twin/diff trick). *)
-  | Merge_delta of (Ra.Sysname.t * int * int * bytes) list
+  | Merge_delta of (Ra.Sysname.t * int * int * Ra.Page.image) list
       (** Commutative flush: per page, (segment, page, twin-stamp,
           delta) where the delta is the word-wise difference of the
           replica's writes against its twin and the stamp is the
@@ -101,21 +101,23 @@ let service = 10
 let client_service = 11
 
 let write_set_bytes ws =
-  List.fold_left (fun acc (_, _, data) -> acc + 24 + Bytes.length data) 0 ws
+  List.fold_left (fun acc (_, _, img) -> acc + 24 + Ra.Page.length img) 0 ws
 
 (* Prefetched extras ride in the same reply as the faulted page: each
    entry carries a page number plus payload, charged like a write-set
    entry (24-byte header per page). *)
 let extras_bytes extras =
-  List.fold_left (fun acc (_, data) -> acc + 24 + Bytes.length data) 0 extras
+  List.fold_left (fun acc (_, img) -> acc + 24 + Ra.Page.length img) 0 extras
 
 let request_bytes = function
   | Get_page _ -> 48
-  | Got_page (Ra.Partition.Data b) -> 48 + Bytes.length b
+  | Got_page (Ra.Partition.Data img) -> 48 + Ra.Page.length img
   | Got_page Ra.Partition.Zeroed -> 48
   | Got_pages { main; extras } ->
       let main_bytes =
-        match main with Ra.Partition.Data b -> Bytes.length b | Zeroed -> 0
+        match main with
+        | Ra.Partition.Data img -> Ra.Page.length img
+        | Zeroed -> 0
       in
       48 + main_bytes + extras_bytes extras
   | Page_error -> 32
@@ -123,7 +125,7 @@ let request_bytes = function
   | Batch_ok -> 32
   | Invalidate _ | Downgrade _ -> 48
   | Invalidated { dirty } | Downgraded { dirty } -> (
-      match dirty with Some b -> 48 + Bytes.length b | None -> 48)
+      match dirty with Some img -> 48 + Ra.Page.length img | None -> 48)
   | Create_segment _ | Delete_segment _ -> 48
   | Segment_ok | Segment_error -> 32
   | Lock_segment _ -> 48
@@ -150,12 +152,12 @@ let request_bytes = function
       List.fold_left
         (fun acc (_, _, spans) ->
           List.fold_left
-            (fun acc (_, data) -> acc + 8 + Bytes.length data)
+            (fun acc (_, data) -> acc + 8 + String.length data)
             (acc + 24) spans)
         48 entries
   | Merge_delta ds ->
       List.fold_left
-        (fun acc (_, _, _, delta) -> acc + 32 + Bytes.length delta)
+        (fun acc (_, _, _, delta) -> acc + 32 + Ra.Page.length delta)
         48 ds
   | Merged ws -> 48 + write_set_bytes ws
   | _ -> 64
@@ -173,9 +175,3 @@ let txn_compare a b =
   match Int.compare a.tnode b.tnode with
   | 0 -> Int.compare a.tseq b.tseq
   | c -> c
-
-let pp_txn fmt t = Format.fprintf fmt "txn-%d.%d" t.tnode t.tseq
-
-let pp_lock_kind fmt = function
-  | R -> Format.pp_print_string fmt "R"
-  | W -> Format.pp_print_string fmt "W"

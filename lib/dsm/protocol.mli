@@ -5,7 +5,8 @@
     these RaTP message bodies, sent with {!call} and answered through
     {!serve}, which size every request and reply with
     {!request_bytes}.  Sizes model headers plus the page data as
-    carried: page traffic ships full 8K pages, while the commit path
+    carried: page traffic ships full 8K pages (a server widens a
+    stored compact image to serve it), while the commit path
     ([Prepare], and the [Mirror_writes] a commit forwards) carries
     {!Ra.Page.compact} images.  One-copy pages have one write op,
     [Put_batch]: a flush sends the segment's dirty pages, an MMU
@@ -19,10 +20,10 @@ type txn_id = { tnode : int; tseq : int }
 
 type lock_kind = R | W
 
-type write_set = (Ra.Sysname.t * int * bytes) list
+type write_set = (Ra.Sysname.t * int * Ra.Page.image) list
 (** (segment, page index, page image) triples.  An image may be a
     full page or a {!Ra.Page.compact} one; the data server's store
-    expands the latter when it applies it. *)
+    keeps it as it arrives. *)
 
 type Ratp.Packet.body +=
   | Get_page of {
@@ -36,7 +37,7 @@ type Ratp.Packet.body +=
   | Got_page of Ra.Partition.fetch_data
   | Got_pages of {
       main : Ra.Partition.fetch_data;
-      extras : (int * bytes) list;
+      extras : (int * Ra.Page.image) list;
           (** prefetched (page, image) pairs following the faulted
               page; the server has already registered the requester in
               each page's copyset *)
@@ -48,9 +49,9 @@ type Ratp.Packet.body +=
           copy (replica propagation) *)
   | Batch_ok
   | Invalidate of { seg : Ra.Sysname.t; page : int }
-  | Invalidated of { dirty : bytes option }
+  | Invalidated of { dirty : Ra.Page.image option }
   | Downgrade of { seg : Ra.Sysname.t; page : int }
-  | Downgraded of { dirty : bytes option }
+  | Downgraded of { dirty : Ra.Page.image option }
   | Create_segment of {
       seg : Ra.Sysname.t;
       size : int;
@@ -82,7 +83,7 @@ type Ratp.Packet.body +=
   | Read_pages of { seg : Ra.Sysname.t; from : int; count : int }
       (** bulk replica read for re-replication: up to [count] non-zero
           pages starting at [from]; no owner/copyset side effects *)
-  | Pages of { size : int; pages : (int * bytes) list }
+  | Pages of { size : int; pages : (int * Ra.Page.image) list }
   | Mirror_writes of write_set
       (** committed writes forwarded by a segment's primary to its
           backups; applied to the store, never re-forwarded *)
@@ -94,10 +95,10 @@ type Ratp.Packet.body +=
       (** release-mode flush: one batched invalidation RPC per copyset
           member, sent when a lock scope's dirty pages land at the
           home; the copy is dropped without returning dirty data *)
-  | Put_diffs of (Ra.Sysname.t * int * (int * bytes) list) list
+  | Put_diffs of (Ra.Sysname.t * int * (int * string) list) list
       (** release-mode writeback: per page, the (offset, bytes) spans
           changed against the twin, applied sub-page at the home *)
-  | Merge_delta of (Ra.Sysname.t * int * int * bytes) list
+  | Merge_delta of (Ra.Sysname.t * int * int * Ra.Page.image) list
       (** commutative flush: per page (segment, page, twin-stamp,
           delta) — word-wise deltas against the twin, combined at the
           home under the segment's merge operator.  The twin-stamp is
@@ -141,5 +142,3 @@ val serve :
     (default {!service}); each reply is sized by {!request_bytes}. *)
 
 val txn_compare : txn_id -> txn_id -> int
-val pp_txn : Format.formatter -> txn_id -> unit
-val pp_lock_kind : Format.formatter -> lock_kind -> unit

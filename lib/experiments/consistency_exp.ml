@@ -189,14 +189,14 @@ let counter_point ~mode ~clients ~increments =
         match
           Store.Segment_store.read_page (Dsm.Dsm_server.store server) seg 0
         with
-        | Ra.Partition.Data b -> b
-        | Ra.Partition.Zeroed -> Bytes.make Ra.Page.size '\000'
+        | Ra.Partition.Data img -> Ra.Page.widen img
+        | Ra.Partition.Zeroed -> Ra.Page.zero
       in
       let converged = ref true in
       List.iteri
         (fun i _ ->
-          if Int64.to_int (Bytes.get_int64_le final (8 * i)) <> increments
-          then converged := false)
+          let v = String.get_int64_le (final :> string) (8 * i) in
+          if Int64.to_int v <> increments then converged := false)
         cs;
       {
         mode = mode_name mode;

@@ -266,10 +266,8 @@ let run_arm ~seed ~ops (a : arm) =
                             Store.Segment_store.read_page store seg p
                           with
                           | Ra.Partition.Data d
-                            when Bytes.length d >= String.length marker
-                                 && String.sub (Bytes.to_string d) 0
-                                      (String.length marker)
-                                    = marker ->
+                            when String.starts_with ~prefix:marker
+                                   (d :> string) ->
                               ()
                           | _ -> incr lost_writes))
                     expected.(si))

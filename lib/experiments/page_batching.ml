@@ -37,7 +37,8 @@ let ether_config =
     cost_per_byte_ns = 5;
   }
 
-let page_image p = Bytes.make Ra.Page.size (Char.chr (97 + (p mod 26)))
+let page_image p =
+  Ra.Page.adopt (Bytes.make Ra.Page.size (Char.chr (97 + (p mod 26))))
 
 type setup = {
   client : Dsm.Dsm_client.t;

@@ -34,7 +34,8 @@ let measure_faults ~samples =
         let seg = Ra.Sysname.fresh gen in
         Store.Segment_store.create_segment store seg ~size:(2 * Ra.Page.size);
         (* page 1 holds data; page 0 was never written (zero fill) *)
-        Store.Segment_store.write_page store seg 1 (Bytes.make Ra.Page.size 'd');
+        Store.Segment_store.write_page store seg 1
+          (Ra.Page.adopt (Bytes.make Ra.Page.size 'd'));
         let vs = Ra.Virtual_space.create () in
         Ra.Virtual_space.map vs ~base:0 ~len:(2 * Ra.Page.size)
           ~prot:Ra.Virtual_space.Read_write seg;

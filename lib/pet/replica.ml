@@ -91,7 +91,7 @@ let copy_state om t ~from_index ~to_index =
                 writes := (dst_e.Store.Directory.seg, page, data) :: !writes
             | Ok (P.Got_page Ra.Partition.Zeroed) ->
                 writes :=
-                  (dst_e.Store.Directory.seg, page, Ra.Page.zero ()) :: !writes
+                  (dst_e.Store.Directory.seg, page, Ra.Page.zero) :: !writes
             | Ok _ | Error Ratp.Endpoint.Timeout -> ok := false
           done)
         pairs;

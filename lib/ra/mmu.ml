@@ -3,11 +3,13 @@ exception Write_protect of int
 
 type frame = {
   mutable mode : Partition.mode;
-  data : bytes;  (* always Page.size long *)
+  mutable data : bytes;
+      (* Page.size bytes; a read-mode frame shares its image and is
+         never written (a write faults in a private write-mode copy) *)
   mutable dirty : bool;
   mutable last_used : int;  (* logical access clock, for LRU *)
-  mutable base : bytes option;
-      (* twin: snapshot of [data] as fetched, kept only for segments
+  mutable base : Page.image option;
+      (* twin: image of [data] as fetched, kept only for segments
          in a relaxed consistency mode.  Release-mode flushes diff
          against it so concurrent writers to disjoint bytes of one
          page don't clobber each other; commutative flushes encode
@@ -39,7 +41,6 @@ type t = {
   mutable hook : (Sysname.t -> int -> Partition.mode -> unit) option;
   mutable twin_clock : int;  (* allocator for [base_stamp] *)
   mutable faults : int;
-  mutable zero_fills : int;
   mutable upgrades : int;
   mutable evictions : int;
   mutable prefetches : int;
@@ -60,7 +61,6 @@ let create ?(max_frames = max_int) ~params ~cpu () =
     hook = None;
     twin_clock = 0;
     faults = 0;
-    zero_fills = 0;
     upgrades = 0;
     evictions = 0;
     prefetches = 0;
@@ -78,7 +78,7 @@ let snapshot_base t seg frame =
   | Partition.One_copy -> ()
   | Partition.Release | Partition.Commutative _ ->
       t.twin_clock <- t.twin_clock + 1;
-      frame.base <- Some (Page.copy frame.data);
+      frame.base <- Some (Page.of_bytes frame.data);
       frame.base_stamp <- t.twin_clock
 
 let touch_frame t frame =
@@ -86,8 +86,8 @@ let touch_frame t frame =
   frame.last_used <- t.access_clock
 
 (* Evict the least recently used frame to make room, writing it back
-   through its partition if dirty (the data server keeps the bytes;
-   the next touch refetches). *)
+   through its partition if dirty (the data server keeps the bytes,
+   handed over as in {!invalidate}; the next touch refetches). *)
 let evict_one t =
   let victim =
     Hashtbl.fold
@@ -104,7 +104,7 @@ let evict_one t =
       t.evictions <- t.evictions + 1;
       if frame.dirty then begin
         let partition = t.resolver seg in
-        partition.Partition.writeback ~seg ~page frame.data
+        partition.Partition.writeback ~seg ~page (Page.adopt frame.data)
       end
 
 let make_room t =
@@ -150,32 +150,26 @@ let rec ensure_resident ?(backoff = Sim.Time.of_ms_f 4.0) t seg page need =
               t.faults <- t.faults + 1;
               if existing <> None then t.upgrades <- t.upgrades + 1;
               let partition = t.resolver seg in
-              let fetched = partition.Partition.fetch ~seg ~page ~mode:need in
+              let img, cost =
+                match partition.Partition.fetch ~seg ~page ~mode:need with
+                | Partition.Zeroed -> (Page.zero, t.params.Params.fault_zero_fill)
+                | Partition.Data img -> (img, t.params.Params.fault_copy)
+              in
+              Cpu.consume t.cpu ~key:self cost;
+              let data =
+                match need with
+                | Partition.Read -> Page.read_frame img
+                | Partition.Write -> Page.to_frame img
+              in
               let frame =
-                match fetched with
-                | Partition.Zeroed ->
-                    t.zero_fills <- t.zero_fills + 1;
-                    Cpu.consume t.cpu ~key:self t.params.Params.fault_zero_fill;
-                    {
-                      mode = need;
-                      data = Page.zero ();
-                      dirty = false;
-                      last_used = 0;
-                      base = None;
-                      base_stamp = 0;
-                    }
-                | Partition.Data b ->
-                    Cpu.consume t.cpu ~key:self t.params.Params.fault_copy;
-                    let data = Page.zero () in
-                    Bytes.blit b 0 data 0 (min (Bytes.length b) Page.size);
-                    {
-                      mode = need;
-                      data;
-                      dirty = false;
-                      last_used = 0;
-                      base = None;
-                      base_stamp = 0;
-                    }
+                {
+                  mode = need;
+                  data;
+                  dirty = false;
+                  last_used = 0;
+                  base = None;
+                  base_stamp = 0;
+                }
               in
               snapshot_base t seg frame;
               touch_frame t frame;
@@ -202,10 +196,10 @@ let rec ensure_resident ?(backoff = Sim.Time.of_ms_f 4.0) t seg page need =
 
 (* Walk [addr, addr+len) chunk by chunk, where a chunk never crosses
    a page or mapping boundary, and apply [f frame ~page_off ~buf_off
-   ~n] to each piece. *)
+   ~n] to each piece, with no yield between [ensure_resident]
+   returning a frame and [f] using it (see {!invalidate}). *)
 let access t vs ~addr ~len ~need f =
   if len < 0 then invalid_arg "Mmu: negative length";
-  let self = Sim.self () in
   let pos = ref 0 in
   while !pos < len do
     let va = addr + !pos in
@@ -224,8 +218,6 @@ let access t vs ~addr ~len ~need f =
         | Some hook -> hook m.Virtual_space.seg page need
         | None -> ());
         let frame = ensure_resident t m.Virtual_space.seg page need in
-        if t.params.Params.mem_access_byte_ns > 0 then
-          Cpu.consume t.cpu ~key:self (t.params.Params.mem_access_byte_ns * n);
         f frame ~page_off ~buf_off:!pos ~n;
         pos := !pos + n
   done
@@ -249,19 +241,19 @@ let resident t seg page =
   | Some f -> Some f.mode
   | None -> None
 
-let page_data t seg page =
-  match Hashtbl.find_opt t.frames (seg, page) with
-  | Some f -> Some (Page.copy f.data)
-  | None -> None
-
-let dirty_pages t seg =
+let dirty_pages t seg ~compact =
+  let image = if compact then Page.compact else Page.of_bytes in
   Hashtbl.fold
     (fun (s, page) f acc ->
-      if Sysname.equal s seg && f.dirty then (page, Page.copy f.data) :: acc
+      if Sysname.equal s seg && f.dirty then (page, image f.data) :: acc
       else acc)
     t.frames []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
+(* The dropped frame's bytes become the image uncopied.  Nothing can
+   write them later: the frame is out of the table, and a process
+   holds a frame only from [ensure_resident] to its read or write in
+   [access], which never yields in between. *)
 let invalidate t seg page =
   if Hashtbl.mem t.inflight (seg, page) then
     Hashtbl.replace t.poisoned (seg, page) ();
@@ -269,7 +261,7 @@ let invalidate t seg page =
   | None -> None
   | Some f ->
       Hashtbl.remove t.frames (seg, page);
-      if f.dirty then Some (Page.copy f.data) else None
+      if f.dirty then Some (Page.adopt f.data) else None
 
 let downgrade t seg page =
   if Hashtbl.mem t.inflight (seg, page) then
@@ -280,7 +272,7 @@ let downgrade t seg page =
       let dirty = f.dirty in
       f.mode <- Partition.Read;
       f.dirty <- false;
-      if dirty then Some (Page.copy f.data) else None
+      if dirty then Some (Page.of_bytes f.data) else None
 
 (* Install a speculative read copy shipped alongside a demand fetch.
    Speculation must never displace demand-loaded frames or race a
@@ -292,7 +284,7 @@ let downgrade t seg page =
    nothing was kept — the caller releases its copyset registration
    only in the latter case.  No CPU is charged: the copy rode an
    existing reply. *)
-let install_read t seg page data =
+let install_read t seg page img =
   let key = (seg, page) in
   if
     Hashtbl.mem t.frames key
@@ -301,12 +293,10 @@ let install_read t seg page data =
   then Retained
   else if Hashtbl.length t.frames >= t.max_frames then No_copy
   else begin
-    let page_data = Page.zero () in
-    Bytes.blit data 0 page_data 0 (min (Bytes.length data) Page.size);
     let frame =
       {
         mode = Partition.Read;
-        data = page_data;
+        data = Page.read_frame img;
         dirty = false;
         last_used = 0;
         base = None;
@@ -332,7 +322,7 @@ let is_dirty t seg page =
 
 let page_base t seg page =
   match Hashtbl.find_opt t.frames (seg, page) with
-  | Some { base = Some b; _ } -> Some (Page.copy b)
+  | Some { base = Some b; _ } -> Some b
   | _ -> None
 
 let twin_stamp t seg page =
@@ -343,11 +333,11 @@ let twin_stamp t seg page =
 (* After a relaxed-mode flush: the home now holds this image, so it
    becomes the frame's new twin (and, for commutative refresh, its
    contents). *)
-let merge_refresh t seg page data =
+let merge_refresh t seg page (img : Page.image) =
   match Hashtbl.find_opt t.frames (seg, page) with
   | None -> ()
   | Some f ->
-      Bytes.blit data 0 f.data 0 (min (Bytes.length data) Page.size);
+      f.data <- Page.to_frame img;
       f.dirty <- false;
       snapshot_base t seg f
 
@@ -377,7 +367,6 @@ let clear t =
   Hashtbl.reset t.poisoned
 
 let faults t = t.faults
-let zero_fills t = t.zero_fills
 let upgrades t = t.upgrades
 let evictions t = t.evictions
 let prefetches t = t.prefetches

@@ -51,17 +51,16 @@ val write : t -> Virtual_space.t -> addr:int -> bytes -> unit
 val resident : t -> Sysname.t -> int -> Partition.mode option
 (** Residency and mode of a page frame on this node. *)
 
-val page_data : t -> Sysname.t -> int -> bytes option
-(** Copy of the resident frame's contents (tests, commit processing). *)
+val dirty_pages : t -> Sysname.t -> compact:bool -> (int * Page.image) list
+(** Dirty resident pages of a segment, sorted by page index, copied
+    out as full or {!Page.compact} images. *)
 
-val dirty_pages : t -> Sysname.t -> (int * bytes) list
-(** Dirty resident pages of a segment, sorted by page index. *)
-
-val invalidate : t -> Sysname.t -> int -> bytes option
+val invalidate : t -> Sysname.t -> int -> Page.image option
 (** Drop the frame, returning its data if it was dirty (the caller
-    forwards it to the requesting node or discards it to abort). *)
+    forwards it to the requesting node or discards it to abort); the
+    frame's bytes become the image uncopied. *)
 
-val downgrade : t -> Sysname.t -> int -> bytes option
+val downgrade : t -> Sysname.t -> int -> Page.image option
 (** Demote a write frame to read mode, returning the data if dirty. *)
 
 type install =
@@ -75,7 +74,7 @@ type install =
       (** declined with nothing kept (frame budget): the caller
           should release its copyset registration for the page. *)
 
-val install_read : t -> Sysname.t -> int -> bytes -> install
+val install_read : t -> Sysname.t -> int -> Page.image -> install
 (** Install a prefetched page image as a clean read copy without
     charging fault costs.  Declines ([Retained]) if the page is
     already resident or a fault on it is in flight, and ([No_copy])
@@ -90,9 +89,9 @@ val mark_clean : t -> Sysname.t -> int -> unit
 val is_dirty : t -> Sysname.t -> int -> bool
 (** Whether the page is resident with unwritten-back writes. *)
 
-val page_base : t -> Sysname.t -> int -> bytes option
-(** Copy of the frame's twin (the page as fetched), if the segment's
-    consistency mode keeps one. *)
+val page_base : t -> Sysname.t -> int -> Page.image option
+(** The frame's twin (an image of the page as fetched), if the
+    segment's consistency mode keeps one. *)
 
 val twin_stamp : t -> Sysname.t -> int -> int
 (** Node-unique id of the frame's current twin snapshot (0 when the
@@ -101,7 +100,7 @@ val twin_stamp : t -> Sysname.t -> int -> int
     deltas: the stamp repeats exactly when a flush is re-sent against
     an unchanged twin after a client-visible timeout. *)
 
-val merge_refresh : t -> Sysname.t -> int -> bytes -> unit
+val merge_refresh : t -> Sysname.t -> int -> Page.image -> unit
 (** Overwrite a resident frame with the post-flush home image, mark
     it clean and make the image the new twin.  No-op if the frame is
     gone (invalidated meanwhile). *)
@@ -120,7 +119,6 @@ val clear : t -> unit
 (** Drop all frames (machine crash: volatile contents are lost). *)
 
 val faults : t -> int
-val zero_fills : t -> int
 val upgrades : t -> int
 
 val evictions : t -> int

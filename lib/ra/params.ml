@@ -3,7 +3,6 @@ type t = {
   fault_trap : Sim.Time.span;
   fault_copy : Sim.Time.span;
   fault_zero_fill : Sim.Time.span;
-  mem_access_byte_ns : int;
   activation_setup : Sim.Time.span;
   invoke_setup : Sim.Time.span;
   invoke_return : Sim.Time.span;
@@ -17,7 +16,6 @@ let default =
     fault_trap = Sim.Time.us 200;
     fault_copy = Sim.Time.us 429;
     fault_zero_fill = Sim.Time.us 1300;
-    mem_access_byte_ns = 0;
     activation_setup = Sim.Time.of_ms_f 8.0;
     invoke_setup = Sim.Time.of_ms_f 4.3;
     invoke_return = Sim.Time.of_ms_f 3.5;

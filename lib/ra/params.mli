@@ -16,8 +16,6 @@ type t = {
       (** copying one 8K page of available data into a frame *)
   fault_zero_fill : Sim.Time.span;
       (** zero-filling a fresh 8K frame *)
-  mem_access_byte_ns : int;
-      (** CPU cost per byte read or written on resident pages *)
   activation_setup : Sim.Time.span;
       (** object manager: build the virtual space and object
           bookkeeping when an object first activates on a node *)

@@ -1,18 +1,14 @@
 type mode = Read | Write
 
-type fetch_data = Zeroed | Data of bytes
+type fetch_data = Zeroed | Data of Page.image
 
 exception No_segment of Sysname.t
 
 type t = {
   name : string;
   fetch : seg:Sysname.t -> page:int -> mode:mode -> fetch_data;
-  writeback : seg:Sysname.t -> page:int -> bytes -> unit;
+  writeback : seg:Sysname.t -> page:int -> Page.image -> unit;
 }
-
-let pp_mode fmt = function
-  | Read -> Format.pp_print_string fmt "read"
-  | Write -> Format.pp_print_string fmt "write"
 
 type merge = Add | Max
 
@@ -34,26 +30,28 @@ let pp_consistency fmt = function
    the largest write wins per word).  Both operators are commutative
    and associative, which is what makes the mode arbitration-free. *)
 
-let words b = Bytes.length b / 8
+let words (img : Page.image) = Page.length img / 8
 
 let merge_delta op ~base ~current =
-  let n = min (words base) (words current) in
-  let out = Bytes.copy current in
-  (match op with
+  match op with
+  | Max -> current
   | Add ->
+      let n = min (words base) (words current) in
+      let base = (base :> string) and cur = (current :> string) in
+      let out = Bytes.of_string cur in
       for i = 0 to n - 1 do
         let o = i * 8 in
         Bytes.set_int64_le out o
-          (Int64.sub (Bytes.get_int64_le current o) (Bytes.get_int64_le base o))
-      done
-  | Max -> ());
-  out
+          (Int64.sub (String.get_int64_le cur o) (String.get_int64_le base o))
+      done;
+      Page.adopt out
 
 let apply_merge op ~into delta =
-  let n = min (words into) (words delta) in
+  let n = min (Bytes.length into / 8) (words delta) in
+  let delta = (delta :> string) in
   for i = 0 to n - 1 do
     let o = i * 8 in
-    let a = Bytes.get_int64_le into o and d = Bytes.get_int64_le delta o in
+    let a = Bytes.get_int64_le into o and d = String.get_int64_le delta o in
     let v =
       match op with
       | Add -> Int64.add a d

@@ -10,7 +10,7 @@ type mode = Read | Write
 
 type fetch_data =
   | Zeroed  (** the page has never been written; zero-fill a frame *)
-  | Data of bytes  (** page contents *)
+  | Data of Page.image  (** page contents, full or compact *)
 
 exception No_segment of Sysname.t
 (** Raised by partition operations when the segment does not exist
@@ -22,11 +22,9 @@ type t = {
       (** Obtain a page in the given mode; blocks (disk or network).
           Fetching in [Write] mode acquires ownership under the
           coherence protocol. *)
-  writeback : seg:Sysname.t -> page:int -> bytes -> unit;
+  writeback : seg:Sysname.t -> page:int -> Page.image -> unit;
       (** Push a dirty page back to stable storage. *)
 }
-
-val pp_mode : Format.formatter -> mode -> unit
 
 (** {1 Consistency modes}
 
@@ -47,13 +45,13 @@ type consistency = One_copy | Release | Commutative of merge
 val pp_merge : Format.formatter -> merge -> unit
 val pp_consistency : Format.formatter -> consistency -> unit
 
-val merge_delta : merge -> base:bytes -> current:bytes -> bytes
+val merge_delta : merge -> base:Page.image -> current:Page.image -> Page.image
 (** [merge_delta op ~base ~current] encodes a replica's local writes
     as a delta page: word-wise [current - base] for [Add], the
     absolute [current] words for [Max].  Operates on the common
     prefix of whole 64-bit little-endian words. *)
 
-val apply_merge : merge -> into:bytes -> bytes -> unit
+val apply_merge : merge -> into:bytes -> Page.image -> unit
 (** [apply_merge op ~into delta] combines a delta page into a home
     copy in place: word-wise addition for [Add], word-wise maximum
     for [Max]. *)

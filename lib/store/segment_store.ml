@@ -1,6 +1,7 @@
 type t = {
   label : string;
-  pages : (Ra.Sysname.t * int, bytes) Hashtbl.t;
+  pages : (Ra.Sysname.t * int, Ra.Page.image) Hashtbl.t;
+      (* each image exactly as it was written, full or compact *)
   lsns : (Ra.Sysname.t * int, int) Hashtbl.t;
       (* page-LSN: the log sequence number of the commit record whose
          write produced this page image; absent (0) for pages written
@@ -47,24 +48,12 @@ let size t seg =
 let read_page t seg page =
   if not (exists t seg) then raise (Ra.Partition.No_segment seg);
   match Hashtbl.find_opt t.pages (seg, page) with
-  | Some data -> Ra.Partition.Data (Ra.Page.copy data)
+  | Some img -> Ra.Partition.Data img
   | None -> Ra.Partition.Zeroed
 
-(* The single expansion point for {!Ra.Page.compact} images: whatever
-   the caller hands in (a full page, or a commit-path image trimmed of
-   its trailing zeros), the store keeps a full zero-padded page. *)
-let expand data =
-  let n = Bytes.length data in
-  if n >= Ra.Page.size then Ra.Page.copy data
-  else begin
-    let full = Ra.Page.zero () in
-    Bytes.blit data 0 full 0 n;
-    full
-  end
-
-let write_page ?lsn t seg page data =
+let write_page ?lsn t seg page img =
   if not (exists t seg) then raise (Ra.Partition.No_segment seg);
-  Hashtbl.replace t.pages (seg, page) (expand data);
+  Hashtbl.replace t.pages (seg, page) img;
   match lsn with
   | Some l -> Hashtbl.replace t.lsns (seg, page) l
   | None -> ()
@@ -84,5 +73,5 @@ let local_partition t =
   {
     Ra.Partition.name = t.label ^ "-local";
     fetch = (fun ~seg ~page ~mode:_ -> read_page t seg page);
-    writeback = (fun ~seg ~page data -> write_page t seg page data);
+    writeback = (fun ~seg ~page img -> write_page t seg page img);
   }

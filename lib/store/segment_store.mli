@@ -21,13 +21,13 @@ val size : t -> Ra.Sysname.t -> int
 (** Raises {!Ra.Partition.No_segment} if absent. *)
 
 val read_page : t -> Ra.Sysname.t -> int -> Ra.Partition.fetch_data
-(** Raises {!Ra.Partition.No_segment} if the segment is absent. *)
+(** The stored image itself, not a copy: full or compact, exactly as
+    it was written.  Raises {!Ra.Partition.No_segment} if the segment
+    is absent. *)
 
-val write_page : ?lsn:int -> t -> Ra.Sysname.t -> int -> bytes -> unit
-(** [write_page ?lsn t seg page data] installs a page image.  [data]
-    may be a full page or a {!Ra.Page.compact} image: a shorter image
-    is stored zero-padded to {!Ra.Page.size}, so {!read_page} always
-    returns full pages and no caller pads for itself.  [lsn]
+val write_page : ?lsn:int -> t -> Ra.Sysname.t -> int -> Ra.Page.image -> unit
+(** [write_page ?lsn t seg page img] installs a page image, a full
+    page or a {!Ra.Page.compact} one, and keeps it as it is.  [lsn]
     tags the page with the commit record that produced it (the
     page-LSN recovery redo is guarded by); omitted, the existing tag
     is left in place — an unlogged write over a committed page must

@@ -1,5 +1,5 @@
-type write = Ra.Sysname.t * int * bytes
-type undo = Ra.Sysname.t * int * bytes option
+type write = Ra.Sysname.t * int * Ra.Page.image
+type undo = Ra.Sysname.t * int * Ra.Page.image option
 type prep = { txn : int * int; writes : write list; undo : undo list }
 
 type record =
@@ -80,10 +80,10 @@ let group_commit t = t.gc <> None
    not 8 KB of zeros. *)
 let prep_bytes p =
   64
-  + List.fold_left (fun acc (_, _, b) -> acc + Bytes.length b) 0 p.writes
+  + List.fold_left (fun acc (_, _, img) -> acc + Ra.Page.length img) 0 p.writes
   + List.fold_left
-      (fun acc (_, _, b) ->
-        acc + match b with Some b -> Bytes.length b | None -> 0)
+      (fun acc (_, _, img) ->
+        acc + match img with Some img -> Ra.Page.length img | None -> 0)
       0 p.undo
 
 let record_bytes = function

@@ -10,12 +10,13 @@
 
     Redo and undo images share one encoding, {!Ra.Page.compact}: the
     page minus its trailing zeros.  The coordinator compacts redo
-    images when it builds the [Prepare] message and the participant
-    compacts before-images when it reads them, so every record holds
-    (and the disk is charged for) only what the pages really contain.
-    The log never expands an image: {!Segment_store.write_page} pads
-    a short image back to a full page, so commit apply, redo, undo
-    restore and in-doubt re-install all pass images straight through.
+    images straight from its frames when it builds the [Prepare]
+    message, and the participant takes each before-image from the
+    store's own image ({!Ra.Page.trim}), so every record holds (and
+    the disk is charged for) only what the pages really contain.
+    The record, the prepared table and the store share the same
+    immutable image, so commit apply, redo, undo restore and in-doubt
+    re-install all pass images straight through.
 
     {2 Group commit}
 
@@ -37,10 +38,10 @@
     own synchronous {!Disk.write}, the historical cost model, and
     every record is durable the moment it is logged. *)
 
-type write = Ra.Sysname.t * int * bytes
+type write = Ra.Sysname.t * int * Ra.Page.image
 (** (segment, page, compact redo image) *)
 
-type undo = Ra.Sysname.t * int * bytes option
+type undo = Ra.Sysname.t * int * Ra.Page.image option
 (** (segment, page, compact before-image); [None] = the page had
     never been written (undo clears it back to zeroed). *)
 

@@ -146,7 +146,7 @@ let stored_balance ?(page = 0) env obj =
     Store.Segment_store.read_page (Dsm.Dsm_server.store server) seg page
   with
   | Ra.Partition.Zeroed -> 0
-  | Ra.Partition.Data b -> Int64.to_int (Bytes.get_int64_le b 0)
+  | Ra.Partition.Data b -> Int64.to_int (String.get_int64_le (Ra.Page.widen b :> string) 0)
 
 (* ------------------------------------------------------------------ *)
 

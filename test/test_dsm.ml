@@ -26,14 +26,17 @@ type cluster = {
   c2 : Dsm.Dsm_client.t;
 }
 
-let with_cluster ?(presume_abort_after = Time.sec 60) ?prefetch_window f =
+let with_cluster ?(presume_abort_after = Time.sec 60) ?group_commit_window
+    ?prefetch_window f =
   Sim.exec (fun () ->
       let eng = Sim.engine () in
       let ether = Net.Ethernet.create eng () in
       let nd =
         Ra.Node.create ether ~id:1 ~kind:Ra.Node.Data ~ratp_config:fast_ratp ()
       in
-      let server = Dsm.Dsm_server.create nd ~presume_abort_after () in
+      let server =
+        Dsm.Dsm_server.create nd ~presume_abort_after ?group_commit_window ()
+      in
       let locate _ = 1 in
       let n1 =
         Ra.Node.create ether ~id:2 ~kind:Ra.Node.Compute ~ratp_config:fast_ratp ()
@@ -71,7 +74,7 @@ let write node vs ~addr s =
 let test_shared_read () =
   with_cluster (fun cl ->
       let seg = new_seg cl ~pages:1 in
-      let page = Bytes.make Ra.Page.size 'a' in
+      let page = Ra.Page.of_bytes (Bytes.make Ra.Page.size 'a') in
       Store.Segment_store.write_page (Dsm.Dsm_server.store cl.server) seg 0 page;
       let vs = vspace_for seg ~pages:1 in
       Alcotest.(check string) "c1 sees store" "aaaa" (read cl.n1 vs ~addr:0 ~len:4);
@@ -212,7 +215,7 @@ let fill_pages cl seg ~pages =
     Store.Segment_store.write_page
       (Dsm.Dsm_server.store cl.server)
       seg p
-      (Bytes.make Ra.Page.size (Char.chr (97 + p)))
+      (Ra.Page.of_bytes (Bytes.make Ra.Page.size (Char.chr (97 + p))))
   done
 
 let test_prefetch_sequential_scan () =
@@ -300,14 +303,14 @@ let test_batched_flush () =
         check_int "one RPC for the whole batch" 1
           (Dsm.Dsm_client.put_rpcs cl.c1 - rpcs0);
         check_bool "frames clean" true
-          (Ra.Mmu.dirty_pages cl.n1.Ra.Node.mmu seg = []);
+          (Ra.Mmu.dirty_pages cl.n1.Ra.Node.mmu seg ~compact:false = []);
         List.init pages (fun p ->
             match
               Store.Segment_store.read_page
                 (Dsm.Dsm_server.store cl.server)
                 seg p
             with
-            | Ra.Partition.Data d -> Bytes.to_string (Bytes.sub d 0 6)
+            | Ra.Partition.Data d -> String.sub (d :> string) 0 6
             | Ra.Partition.Zeroed -> "ZEROED"))
   in
   Alcotest.(check (list string))
@@ -317,9 +320,8 @@ let test_batched_flush () =
    per-entry headers, 48/64-byte envelopes. *)
 let test_request_bytes_accounting () =
   let seg = Ra.Sysname.fresh (Ra.Sysname.make_gen ~node:99) in
-  let ws =
-    [ (seg, 0, Bytes.create 8192); (seg, 1, Bytes.create 100) ]
-  in
+  let image n = Ra.Page.of_bytes (Bytes.create n) in
+  let ws = [ (seg, 0, image 8192); (seg, 1, image 100) ] in
   let ws_bytes = 24 + 8192 + (24 + 100) in
   check_int "Put_batch" (48 + ws_bytes) (P.request_bytes (P.Put_batch ws));
   check_int "Overwrite" (48 + ws_bytes) (P.request_bytes (P.Overwrite ws));
@@ -328,14 +330,15 @@ let test_request_bytes_accounting () =
   let sparse = Bytes.make Ra.Page.size '\000' in
   Bytes.blit_string "balance=42" 0 sparse 0 10;
   let compact = Ra.Page.compact sparse in
-  check_int "Prepare" (64 + 24 + Bytes.length compact)
+  check_int "Prepare" (64 + 24 + Ra.Page.length compact)
     (P.request_bytes
        (P.Prepare
           { txn = { P.tnode = 1; tseq = 1 }; writes = [ (seg, 0, compact) ] }));
   (* page traffic outside the commit path still ships full pages, so
      the 8K-page transfer calibration does not move *)
   check_int "Got_page ships a full page" (48 + Ra.Page.size)
-    (P.request_bytes (P.Got_page (Ra.Partition.Data (Ra.Page.copy sparse))));
+    (P.request_bytes (P.Got_page (Ra.Partition.Data (Ra.Page.widen compact))));
+  let sparse = Ra.Page.of_bytes sparse in
   check_int "Put_batch ships full pages" (48 + 24 + Ra.Page.size)
     (P.request_bytes (P.Put_batch [ (seg, 0, sparse) ]));
   check_int "Overwrite ships full pages" (48 + 24 + Ra.Page.size)
@@ -345,13 +348,13 @@ let test_request_bytes_accounting () =
     (P.request_bytes
        (P.Got_pages
           {
-            main = Ra.Partition.Data (Bytes.create 8192);
-            extras = [ (1, Bytes.create 8192); (2, Bytes.create 8192) ];
+            main = Ra.Partition.Data (image 8192);
+            extras = [ (1, image 8192); (2, image 8192) ];
           }));
   check_int "Got_pages zero main" (48 + 24 + 10)
     (P.request_bytes
        (P.Got_pages
-          { main = Ra.Partition.Zeroed; extras = [ (1, Bytes.create 10) ] }));
+          { main = Ra.Partition.Zeroed; extras = [ (1, image 10) ] }));
   (* sysname lists charge the same 24-byte entries as descriptors *)
   check_int "Objects" (32 + (24 * 3))
     (P.request_bytes (P.Objects [ seg; seg; seg ]));
@@ -371,7 +374,7 @@ let test_flush_and_drop () =
       | Ra.Partition.Data d ->
           Alcotest.(check string)
             "flushed to store" "durable"
-            (Bytes.to_string (Bytes.sub d 0 7))
+            (String.sub (d :> string) 0 7)
       | Ra.Partition.Zeroed -> Alcotest.fail "flush did not reach store");
       (* now dirty local changes dropped on abort *)
       write cl.n1 vs ~addr:0 "garbage";
@@ -462,7 +465,7 @@ let test_eviction_writes_back () =
       | Ra.Partition.Data d ->
           Alcotest.(check string)
             "evicted bytes at the home" "evicted"
-            (Bytes.to_string (Bytes.sub d 0 7))
+            (String.sub (d :> string) 0 7)
       | Ra.Partition.Zeroed -> Alcotest.fail "eviction lost the write")
 
 let test_owner_crash_recovers_stored_state () =
@@ -596,7 +599,7 @@ let test_two_phase_commit_applies () =
   with_cluster (fun cl ->
       let seg = new_seg cl ~pages:1 in
       let t1 = { P.tnode = 2; tseq = 7 } in
-      let page = Bytes.make Ra.Page.size 'c' in
+      let page = Ra.Page.of_bytes (Bytes.make Ra.Page.size 'c') in
       (match rpc cl cl.n1 (P.Prepare { txn = t1; writes = [ (seg, 0, page) ] }) with
       | Ok (P.Vote true) -> ()
       | Ok _ | Error _ -> Alcotest.fail "prepare failed");
@@ -608,18 +611,95 @@ let test_two_phase_commit_applies () =
       | Ok P.Txn_done -> ()
       | Ok _ | Error _ -> Alcotest.fail "commit failed");
       (match Store.Segment_store.read_page (Dsm.Dsm_server.store cl.server) seg 0 with
-      | Ra.Partition.Data d -> check_bool "applied" true (Bytes.get d 0 = 'c')
+      | Ra.Partition.Data d -> check_bool "applied" true ((d :> string).[0] = 'c')
       | Ra.Partition.Zeroed -> Alcotest.fail "commit did not apply");
       check_int "one commit" 1 (Dsm.Dsm_server.commits cl.server);
       (* WAL has prepare + commit *)
       check_bool "wal recorded" true
         (List.length (Store.Wal.records (Dsm.Dsm_server.wal cl.server)) >= 2))
 
+(* A gcp commit's images are compacted out of the frame, then shared
+   unchanged by the Prepare, the WAL record, the prepared table and
+   the store: writing to the frame after the Prepare reaches none of
+   them.  The before-image is the stored image itself. *)
+let test_prepare_images_unaliased () =
+  with_cluster ~group_commit_window:(Time.ms 5) (fun cl ->
+      let seg = new_seg cl ~pages:1 in
+      let store = Dsm.Dsm_server.store cl.server in
+      let acct = Bytes.make Ra.Page.size '\000' in
+      Bytes.blit_string "acct" 0 acct 0 4;
+      let old = Ra.Page.compact acct in
+      Store.Segment_store.write_page store seg 0 old;
+      let vs = vspace_for seg ~pages:1 in
+      write cl.n1 vs ~addr:0 "new!";
+      let writes =
+        List.map
+          (fun (page, img) -> (seg, page, img))
+          (Ra.Mmu.dirty_pages cl.n1.Ra.Node.mmu seg ~compact:true)
+      in
+      let txn = { P.tnode = 2; tseq = 11 } in
+      (match rpc cl cl.n1 (P.Prepare { txn; writes }) with
+      | Ok (P.Vote true) -> ()
+      | Ok _ | Error _ -> Alcotest.fail "prepare failed");
+      write cl.n1 vs ~addr:0 "XYZ";
+      let logged =
+        List.find_map
+          (function
+            | Store.Wal.Prepared { txn = 2, 11; writes; undo } -> Some (writes, undo)
+            | _ -> None)
+          (Store.Wal.records (Dsm.Dsm_server.wal cl.server))
+      in
+      (match logged with
+      | Some ([ (_, 0, w) ], [ (_, 0, Some u) ]) ->
+          Alcotest.(check string) "logged redo image unchanged" "new!" (w :> string);
+          check_bool "before-image is the stored image" true (u == old)
+      | Some _ | None -> Alcotest.fail "expected one logged page");
+      (match rpc cl cl.n1 (P.Commit { txn }) with
+      | Ok P.Txn_done -> ()
+      | Ok _ | Error _ -> Alcotest.fail "commit failed");
+      write cl.n1 vs ~addr:0 "QQQQ";
+      match Store.Segment_store.read_page store seg 0 with
+      | Ra.Partition.Data d ->
+          Alcotest.(check string) "applied image unchanged" "new!" (d :> string)
+      | Ra.Partition.Zeroed -> Alcotest.fail "commit did not apply")
+
+(* A fetch installs a copy: the server hands out its stored image
+   itself, so a frame aliasing it would write straight into the
+   store.  A stored compact image still leaves the server as a full
+   page. *)
+let test_fetch_installs_copy () =
+  with_cluster (fun cl ->
+      let seg = new_seg cl ~pages:2 in
+      let store = Dsm.Dsm_server.store cl.server in
+      let stored = Ra.Page.of_bytes (Bytes.make Ra.Page.size 'a') in
+      Store.Segment_store.write_page store seg 0 stored;
+      Store.Segment_store.write_page store seg 1
+        (Ra.Page.compact (Bytes.of_string "tiny"));
+      let vs = vspace_for seg ~pages:2 in
+      Alcotest.(check string) "read" "aaaa" (read cl.n1 vs ~addr:0 ~len:4);
+      write cl.n1 vs ~addr:0 "zz";
+      Alcotest.(check string) "store untouched by the frame"
+        (String.make Ra.Page.size 'a') (stored :> string);
+      (match Store.Segment_store.read_page store seg 0 with
+      | Ra.Partition.Data d -> check_bool "same stored image" true (d == stored)
+      | Ra.Partition.Zeroed -> Alcotest.fail "page lost");
+      Alcotest.(check string) "n2 reads the owner's write" "zzaa"
+        (read cl.n2 vs ~addr:0 ~len:4);
+      match
+        rpc cl cl.n2
+          (P.Get_page { seg; page = 1; mode = Ra.Partition.Read; window = 0 })
+      with
+      | Ok (P.Got_page (Ra.Partition.Data img)) ->
+          check_int "served as a full page" Ra.Page.size (Ra.Page.length img);
+          Alcotest.(check string) "served contents" "tiny\000"
+            (String.sub (img :> string) 0 5)
+      | Ok _ | Error _ -> Alcotest.fail "expected page data")
+
 let test_two_phase_abort_discards () =
   with_cluster (fun cl ->
       let seg = new_seg cl ~pages:1 in
       let t1 = { P.tnode = 2; tseq = 8 } in
-      let page = Bytes.make Ra.Page.size 'x' in
+      let page = Ra.Page.of_bytes (Bytes.make Ra.Page.size 'x') in
       (match rpc cl cl.n1 (P.Prepare { txn = t1; writes = [ (seg, 0, page) ] }) with
       | Ok (P.Vote true) -> ()
       | Ok _ | Error _ -> Alcotest.fail "prepare failed");
@@ -637,7 +717,8 @@ let test_prepare_unknown_segment_votes_no () =
       let t1 = { P.tnode = 2; tseq = 9 } in
       match
         rpc cl cl.n1
-          (P.Prepare { txn = t1; writes = [ (bogus, 0, Bytes.create 8) ] })
+          (P.Prepare
+             { txn = t1; writes = [ (bogus, 0, Ra.Page.of_bytes (Bytes.create 8)) ] })
       with
       | Ok (P.Vote false) -> ()
       | Ok _ | Error _ -> Alcotest.fail "expected no vote")
@@ -649,7 +730,7 @@ let test_presumed_abort_times_out () =
       (match rpc cl cl.n1 (P.Lock_segment { seg; kind = P.W; txn = t1 }) with
       | Ok P.Lock_granted -> ()
       | Ok _ | Error _ -> Alcotest.fail "lock failed");
-      let page = Bytes.make Ra.Page.size 'p' in
+      let page = Ra.Page.of_bytes (Bytes.make Ra.Page.size 'p') in
       (match rpc cl cl.n1 (P.Prepare { txn = t1; writes = [ (seg, 0, page) ] }) with
       | Ok (P.Vote true) -> ()
       | Ok _ | Error _ -> Alcotest.fail "prepare failed");
@@ -978,7 +1059,7 @@ let test_one_copy_same_seed_identical () =
           match
             Store.Segment_store.read_page (Dsm.Dsm_server.store server) seg 0
           with
-          | Ra.Partition.Data b -> Bytes.to_string b
+          | Ra.Partition.Data b -> (b :> string)
           | Ra.Partition.Zeroed -> ""
         in
         ( image,
@@ -1049,7 +1130,7 @@ let test_declined_prefetch_releases_copyset () =
         Store.Segment_store.write_page
           (Dsm.Dsm_server.store server)
           seg p
-          (Bytes.make Ra.Page.size (Char.chr (97 + p)))
+          (Ra.Page.of_bytes (Bytes.make Ra.Page.size (Char.chr (97 + p))))
       done;
       let vs = vspace_for seg ~pages in
       (* sequential scan: the adaptive window ships extras, but the
@@ -1138,7 +1219,7 @@ let test_resident_extra_decline_keeps_registration () =
         Store.Segment_store.write_page
           (Dsm.Dsm_server.store server)
           seg p
-          (Bytes.make Ra.Page.size (Char.chr (97 + p)))
+          (Ra.Page.of_bytes (Bytes.make Ra.Page.size (Char.chr (97 + p))))
       done;
       let vs = vspace_for seg ~pages in
       (* page 2 becomes resident by demand fetch... *)
@@ -1187,14 +1268,14 @@ let test_merge_delta_resend_applies_once () =
         match
           Store.Segment_store.read_page (Dsm.Dsm_server.store server) seg 0
         with
-        | Ra.Partition.Data b -> Int64.to_int (Bytes.get_int64_le b 0)
+        | Ra.Partition.Data b -> Int64.to_int (String.get_int64_le (b :> string) 0)
         | Ra.Partition.Zeroed -> 0
       in
       let send body = P.call n2 ~dst:1 body in
       let delta v =
         let b = Bytes.make Ra.Page.size '\000' in
         Bytes.set_int64_le b 0 (Int64.of_int v);
-        b
+        Ra.Page.of_bytes b
       in
       (* the first flush lands but (say) its reply is lost *)
       ignore (send (P.Merge_delta [ (seg, 0, 7, delta 5) ]));
@@ -1212,7 +1293,7 @@ let test_merge_delta_resend_applies_once () =
       (match send (P.Merge_delta [ (ghost, 0, 9, delta 1) ]) with
       | Ok P.Segment_error -> ()
       | _ -> Alcotest.fail "Merge_delta to a missing segment must error");
-      (match send (P.Put_diffs [ (ghost, 0, [ (0, Bytes.make 8 'x') ]) ]) with
+      (match send (P.Put_diffs [ (ghost, 0, [ (0, String.make 8 'x') ]) ]) with
       | Ok P.Segment_error -> ()
       | _ -> Alcotest.fail "Put_diffs to a missing segment must error");
       (* ... before any entry is applied, even one for a live segment *)
@@ -1309,6 +1390,10 @@ let () =
             test_two_phase_commit_applies;
           Alcotest.test_case "2pc abort discards" `Quick
             test_two_phase_abort_discards;
+          Alcotest.test_case "prepare images unaliased" `Quick
+            test_prepare_images_unaliased;
+          Alcotest.test_case "fetch installs a copy" `Quick
+            test_fetch_installs_copy;
           Alcotest.test_case "prepare unknown segment votes no" `Quick
             test_prepare_unknown_segment_votes_no;
           Alcotest.test_case "presumed abort" `Quick

@@ -267,7 +267,7 @@ let test_failover_evicts_stale_locations () =
       | Ra.Partition.Data b ->
           Alcotest.(check string)
             "backup mirrors the committed write" "live"
-            (Bytes.sub_string b 0 4)
+            (String.sub (b :> string) 0 4)
       | Ra.Partition.Zeroed -> Alcotest.fail "backup page never mirrored");
       let ev0 = Dsm.Dsm_client.location_evictions client in
       Ra.Node.crash cl.Cl.data_nodes.(0);

@@ -56,6 +56,28 @@ let test_page_math () =
   check_int "count exact" 1 (Page.count_for 8192);
   check_int "count spill" 2 (Page.count_for 8193)
 
+(* The image conversions: [trim] and [widen] return the image itself
+   when it already has the asked-for form, [to_frame] zero-pads into
+   a fresh frame, and every copying conversion is a snapshot. *)
+let test_page_images () =
+  let frame = Bytes.make Page.size '\000' in
+  Bytes.blit_string "abc" 0 frame 0 3;
+  let full = Page.of_bytes frame and small = Page.compact frame in
+  check_int "full length" Page.size (Page.length full);
+  check_int "compact length" 3 (Page.length small);
+  Bytes.set frame 0 'X';
+  Alcotest.(check string) "compact is a snapshot" "abc" (small :> string);
+  check_bool "full is a snapshot" true ((full :> string).[0] = 'a');
+  check_bool "trim of a compact image is itself" true (Page.trim small == small);
+  Alcotest.(check string) "trim of a full image" "abc" (Page.trim full :> string);
+  check_bool "widen of a full image is itself" true (Page.widen full == full);
+  check_bool "widen pads" true (Page.widen small = full);
+  let f = Page.to_frame small in
+  check_int "frame is a full page" Page.size (Bytes.length f);
+  check_bool "frame holds the image" true (Bytes.to_string f = (full :> string));
+  Bytes.set f 1 'Y';
+  Alcotest.(check string) "frame writes stay in the frame" "abc" (small :> string)
+
 (* ------------------------------------------------------------------ *)
 (* Virtual space *)
 
@@ -177,9 +199,10 @@ let test_cpu_serializes () =
 (* ------------------------------------------------------------------ *)
 (* MMU *)
 
-(* A fake partition over an in-memory page table, counting fetches. *)
+(* A fake partition over an in-memory page table, counting fetches.
+   Like the segment store, it hands out its images without copying. *)
 let fake_partition () =
-  let pages : (Sysname.t * int, bytes) Hashtbl.t = Hashtbl.create 16 in
+  let pages : (Sysname.t * int, Page.image) Hashtbl.t = Hashtbl.create 16 in
   let fetches = ref 0 in
   let partition =
     {
@@ -188,9 +211,9 @@ let fake_partition () =
         (fun ~seg ~page ~mode:_ ->
           incr fetches;
           match Hashtbl.find_opt pages (seg, page) with
-          | Some b -> Partition.Data (Bytes.copy b)
+          | Some img -> Partition.Data img
           | None -> Partition.Zeroed);
-      writeback = (fun ~seg ~page data -> Hashtbl.replace pages (seg, page) data);
+      writeback = (fun ~seg ~page img -> Hashtbl.replace pages (seg, page) img);
     }
   in
   (partition, pages, fetches)
@@ -224,8 +247,7 @@ let test_mmu_zero_fill_fault_cost () =
 let test_mmu_data_fault_cost () =
   let elapsed =
     with_mmu (fun mmu vs seg pages _fetches ->
-        let page = Bytes.make Page.size 'x' in
-        Hashtbl.replace pages (seg, 0) page;
+        Hashtbl.replace pages (seg, 0) (Page.of_bytes (Bytes.make Page.size 'x'));
         let t0 = Sim.now () in
         let b = Mmu.read mmu vs ~addr:0 ~len:4 in
         Alcotest.(check string) "data" "xxxx" (Bytes.to_string b);
@@ -263,11 +285,11 @@ let test_mmu_write_marks_dirty_and_upgrade () =
   with_mmu (fun mmu vs seg _pages _fetches ->
       ignore (Mmu.read mmu vs ~addr:0 ~len:1);
       check_bool "read mode" true (Mmu.resident mmu seg 0 = Some Partition.Read);
-      check_int "no dirty yet" 0 (List.length (Mmu.dirty_pages mmu seg));
+      check_int "no dirty yet" 0 (List.length (Mmu.dirty_pages mmu seg ~compact:false));
       Mmu.write mmu vs ~addr:0 (Bytes.of_string "a");
       check_bool "write mode" true (Mmu.resident mmu seg 0 = Some Partition.Write);
       check_int "one upgrade" 1 (Mmu.upgrades mmu);
-      check_int "dirty" 1 (List.length (Mmu.dirty_pages mmu seg)))
+      check_int "dirty" 1 (List.length (Mmu.dirty_pages mmu seg ~compact:false)))
 
 let test_mmu_segv_and_protection () =
   with_mmu (fun mmu vs seg _pages _fetches ->
@@ -295,7 +317,7 @@ let test_mmu_invalidate_returns_dirty () =
       (match Mmu.invalidate mmu seg 0 with
       | Some data ->
           Alcotest.(check string) "dirty data" "dirty!"
-            (Bytes.to_string (Bytes.sub data 0 6))
+            (String.sub (data :> string) 0 6)
       | None -> Alcotest.fail "expected dirty data");
       check_bool "frame gone" true (Mmu.resident mmu seg 0 = None);
       (* clean frame invalidation returns nothing *)
@@ -310,7 +332,7 @@ let test_mmu_downgrade () =
       | None -> Alcotest.fail "dirty page should surface");
       check_bool "now read mode" true
         (Mmu.resident mmu seg 0 = Some Partition.Read);
-      check_int "no longer dirty" 0 (List.length (Mmu.dirty_pages mmu seg)))
+      check_int "no longer dirty" 0 (List.length (Mmu.dirty_pages mmu seg ~compact:false)))
 
 let test_mmu_concurrent_faults_single_fetch () =
   with_mmu (fun mmu vs _seg _pages fetches ->
@@ -332,7 +354,7 @@ let test_mmu_clear_drops_everything () =
       Mmu.clear mmu;
       check_bool "not resident" true (Mmu.resident mmu seg 0 = None);
       check_int "dirty lost (crash semantics)" 0
-        (List.length (Mmu.dirty_pages mmu seg)))
+        (List.length (Mmu.dirty_pages mmu seg ~compact:false)))
 
 let with_small_mmu ~max_frames f =
   Sim.exec (fun () ->
@@ -375,7 +397,7 @@ let test_mmu_eviction_writes_back_dirty () =
       (* page 0 was dirty and LRU: its bytes must be in the partition *)
       check_bool "dirty page written back" true
         (match Hashtbl.find_opt pages (seg, 0) with
-        | Some b -> Bytes.to_string (Bytes.sub b 0 10) = "persist-me"
+        | Some img -> String.starts_with ~prefix:"persist-me" (img :> string)
         | None -> false);
       (* and reading it again returns the written data *)
       Alcotest.(check string)
@@ -408,7 +430,7 @@ let test_mmu_eviction_mixed_clean_dirty () =
       (* dirty victims were written back, not dropped *)
       let stored p want =
         match Hashtbl.find_opt pages (seg, p) with
-        | Some b -> Bytes.to_string (Bytes.sub b 0 (String.length want)) = want
+        | Some img -> String.starts_with ~prefix:want (img :> string)
         | None -> false
       in
       check_bool "dirty page 0 written back" true (stored 0 "dirty-0");
@@ -425,7 +447,7 @@ let test_mmu_eviction_mixed_clean_dirty () =
 
 let test_mmu_install_read () =
   with_small_mmu ~max_frames:2 (fun mmu vs seg _pages fetches ->
-      let img = Bytes.make Page.size 'p' in
+      let img = Page.of_bytes (Bytes.make Page.size 'p') in
       check_bool "installs into a free frame" true
         (Mmu.install_read mmu seg 0 img = Mmu.Installed);
       check_bool "resident read-mode" true
@@ -440,7 +462,7 @@ let test_mmu_install_read () =
         "contents visible" "pppp"
         (Bytes.to_string (Mmu.read mmu vs ~addr:0 ~len:4));
       check_int "no fetch issued" 0 !fetches;
-      check_bool "clean, not dirty" true (Mmu.dirty_pages mmu seg = []);
+      check_bool "clean, not dirty" true (Mmu.dirty_pages mmu seg ~compact:false = []);
       (* at the frame budget, speculation must not evict *)
       ignore (Mmu.read mmu vs ~addr:Page.size ~len:1);
       check_int "budget full" 2 (Mmu.resident_frames mmu);
@@ -449,6 +471,81 @@ let test_mmu_install_read () =
       check_bool "install refused at budget" true
         (Mmu.install_read mmu seg 2 img = Mmu.No_copy);
       check_int "nothing evicted for speculation" 0 (Mmu.evictions mmu))
+
+(* Page images leave a frame as snapshots and enter one as copies:
+   after [dirty_pages], an eviction writeback or a fetch, writing to
+   the frame must not reach the image the partition holds. *)
+let test_mmu_dirty_pages_snapshot () =
+  with_mmu (fun mmu vs seg _pages _fetches ->
+      Mmu.write mmu vs ~addr:0 (Bytes.of_string "first");
+      let full = Mmu.dirty_pages mmu seg ~compact:false in
+      let small = Mmu.dirty_pages mmu seg ~compact:true in
+      Mmu.write mmu vs ~addr:0 (Bytes.of_string "later");
+      (match (full, small) with
+      | [ (0, f) ], [ (0, c) ] ->
+          check_int "full image" Page.size (Page.length f);
+          check_bool "full image unchanged" true
+            (String.starts_with ~prefix:"first" (f :> string));
+          Alcotest.(check string) "compact image unchanged" "first" (c :> string)
+      | _ -> Alcotest.fail "expected one dirty page"))
+
+let test_mmu_fetch_installs_copy () =
+  with_mmu (fun mmu vs seg pages _fetches ->
+      let stored = Page.of_bytes (Bytes.make Page.size 's') in
+      Hashtbl.replace pages (seg, 0) stored;
+      Hashtbl.replace pages (seg, 1) (Page.compact (Bytes.of_string "tiny"));
+      Mmu.write mmu vs ~addr:0 (Bytes.of_string "frame");
+      Alcotest.(check string) "store image untouched" (String.make Page.size 's')
+        (stored :> string);
+      (* a compact image installs zero-padded to a full frame *)
+      Alcotest.(check string) "compact image padded" "tiny\000\000"
+        (Bytes.to_string (Mmu.read mmu vs ~addr:Page.size ~len:6));
+      Mmu.write mmu vs ~addr:(Page.size + 4) (Bytes.of_string "!");
+      match Hashtbl.find_opt pages (seg, 1) with
+      | Some img -> Alcotest.(check string) "compact image untouched" "tiny" (img :> string)
+      | None -> Alcotest.fail "page 1 vanished")
+
+(* A read fault shares the image (for a never-written page, the zero
+   page itself); the write that follows must fault in a private copy
+   and leave the shared image alone. *)
+let test_mmu_read_frames_shared () =
+  with_mmu (fun mmu vs seg pages _fetches ->
+      let stored = Page.of_bytes (Bytes.make Page.size 'r') in
+      Hashtbl.replace pages (seg, 0) stored;
+      ignore (Mmu.read mmu vs ~addr:0 ~len:1);
+      ignore (Mmu.read mmu vs ~addr:Page.size ~len:1);
+      Mmu.write mmu vs ~addr:0 (Bytes.of_string "w0");
+      Mmu.write mmu vs ~addr:Page.size (Bytes.of_string "w1");
+      Alcotest.(check string) "read-shared image untouched"
+        (String.make Page.size 'r') (stored :> string);
+      check_bool "zero page untouched" true
+        (String.for_all (fun c -> c = '\000') (Page.zero :> string));
+      Alcotest.(check string) "another zero page reads zeros" "\000\000"
+        (Bytes.to_string (Mmu.read mmu vs ~addr:(2 * Page.size) ~len:2));
+      Alcotest.(check string) "writes visible" "w0w1"
+        (Bytes.to_string (Mmu.read mmu vs ~addr:0 ~len:2)
+        ^ Bytes.to_string (Mmu.read mmu vs ~addr:Page.size ~len:2)))
+
+let test_mmu_writeback_handover () =
+  with_small_mmu ~max_frames:1 (fun mmu vs seg pages _fetches ->
+      Mmu.write mmu vs ~addr:0 (Bytes.of_string "evicted");
+      ignore (Mmu.read mmu vs ~addr:Page.size ~len:1);
+      let stored () =
+        match Hashtbl.find_opt pages (seg, 0) with
+        | Some img -> String.sub (img :> string) 0 7
+        | None -> "<none>"
+      in
+      Alcotest.(check string) "written back" "evicted" (stored ());
+      (* fault it back and overwrite: the stored image stays put *)
+      Mmu.write mmu vs ~addr:0 (Bytes.of_string "changed");
+      Alcotest.(check string) "store keeps the writeback" "evicted" (stored ());
+      (* the same holds for an invalidation's hand-over *)
+      match Mmu.invalidate mmu seg 0 with
+      | None -> Alcotest.fail "expected dirty data"
+      | Some img ->
+          Mmu.write mmu vs ~addr:0 (Bytes.of_string "again!!");
+          Alcotest.(check string) "invalidated image unchanged" "changed"
+            (String.sub (img :> string) 0 7))
 
 (* ------------------------------------------------------------------ *)
 (* Node and isiba *)
@@ -494,7 +591,11 @@ let () =
           Alcotest.test_case "table" `Quick test_sysname_table;
         ] );
       qsuite "sysname-props" [ prop_sysname_all_distinct ];
-      ("page", [ Alcotest.test_case "math" `Quick test_page_math ]);
+      ( "page",
+        [
+          Alcotest.test_case "math" `Quick test_page_math;
+          Alcotest.test_case "image conversions" `Quick test_page_images;
+        ] );
       ( "vspace",
         [
           Alcotest.test_case "map and translate" `Quick
@@ -542,6 +643,14 @@ let () =
             test_mmu_eviction_mixed_clean_dirty;
           Alcotest.test_case "install_read prefetch copies" `Quick
             test_mmu_install_read;
+          Alcotest.test_case "dirty_pages images are snapshots" `Quick
+            test_mmu_dirty_pages_snapshot;
+          Alcotest.test_case "fetch installs a copy" `Quick
+            test_mmu_fetch_installs_copy;
+          Alcotest.test_case "writeback hands the frame over" `Quick
+            test_mmu_writeback_handover;
+          Alcotest.test_case "read frames share, writes copy" `Quick
+            test_mmu_read_frames_shared;
         ] );
       ( "node",
         [

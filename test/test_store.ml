@@ -91,15 +91,13 @@ let test_segment_pages () =
   | Ra.Partition.Zeroed -> ()
   | Ra.Partition.Data _ -> Alcotest.fail "untouched page should be zeroed");
   let page = Bytes.make Ra.Page.size 'p' in
-  Store.Segment_store.write_page s seg 0 page;
+  Store.Segment_store.write_page s seg 0 (Ra.Page.of_bytes page);
+  (* the image was a copy: later writes to the page do not reach it *)
+  Bytes.set page 0 'q';
   (match Store.Segment_store.read_page s seg 0 with
   | Ra.Partition.Data d ->
-      check_bool "roundtrip" true (Bytes.equal d page);
-      (* mutation of the returned buffer must not alias the store *)
-      Bytes.set d 0 'q';
-      (match Store.Segment_store.read_page s seg 0 with
-      | Ra.Partition.Data d2 -> check_bool "no aliasing" true (Bytes.get d2 0 = 'p')
-      | Ra.Partition.Zeroed -> Alcotest.fail "lost page")
+      check_bool "roundtrip, no aliasing" true
+        ((d :> string) = String.make Ra.Page.size 'p')
   | Ra.Partition.Zeroed -> Alcotest.fail "wrote page");
   let missing = Ra.Sysname.fresh seg_gen in
   check_bool "missing segment raises" true
@@ -107,6 +105,48 @@ let test_segment_pages () =
        ignore (Store.Segment_store.read_page s missing 0);
        false
      with Ra.Partition.No_segment _ -> true)
+
+(* The store keeps each image exactly as it was written, compact or
+   full, and hands that same image back: no expansion and no copy,
+   with the page-LSN and the Zeroed/Data distinction intact. *)
+let test_segment_images_as_written () =
+  let s = Store.Segment_store.create "s" in
+  let seg = Ra.Sysname.fresh seg_gen in
+  Store.Segment_store.create_segment s seg ~size:(4 * Ra.Page.size);
+  let frame = Bytes.make Ra.Page.size '\000' in
+  Bytes.blit_string "acct" 0 frame 0 4;
+  let small = Ra.Page.compact frame and full = Ra.Page.of_bytes frame in
+  let empty = Ra.Page.compact (Bytes.make Ra.Page.size '\000') in
+  Store.Segment_store.write_page s seg 0 small ~lsn:7;
+  Store.Segment_store.write_page s seg 1 full;
+  Store.Segment_store.write_page s seg 2 empty ~lsn:9;
+  Bytes.set frame 0 'X';
+  let got p =
+    match Store.Segment_store.read_page s seg p with
+    | Ra.Partition.Data img -> Some img
+    | Ra.Partition.Zeroed -> None
+  in
+  let same p img =
+    match got p with Some g -> g == img | None -> false
+  in
+  check_bool "compact image kept as written" true (same 0 small);
+  Alcotest.(check string) "compact image intact" "acct" (small :> string);
+  check_bool "full image kept as written" true (same 1 full);
+  check_int "full image stays full" Ra.Page.size (Ra.Page.length full);
+  check_bool "full image intact" true ((full :> string).[0] = 'a');
+  check_bool "an all-zero write is data, not zeroed" true (same 2 empty);
+  check_bool "never written reads zeroed" true (got 3 = None);
+  check_int "lsn of the compact write" 7 (Store.Segment_store.page_lsn s seg 0);
+  check_int "unlogged write has no lsn" 0 (Store.Segment_store.page_lsn s seg 1);
+  check_int "lsn of the empty write" 9 (Store.Segment_store.page_lsn s seg 2);
+  (* an unlogged overwrite keeps the tag; clearing forgets both *)
+  Store.Segment_store.write_page s seg 0 full;
+  check_bool "overwrite replaces the image" true (same 0 full);
+  check_int "unlogged overwrite keeps the lsn" 7
+    (Store.Segment_store.page_lsn s seg 0);
+  Store.Segment_store.clear_page s seg 2;
+  check_bool "cleared page reads zeroed" true (got 2 = None);
+  check_int "cleared page has no lsn" 0 (Store.Segment_store.page_lsn s seg 2)
 
 let test_local_partition () =
   Sim.exec (fun () ->
@@ -117,15 +157,16 @@ let test_local_partition () =
       (match p.Ra.Partition.fetch ~seg ~page:0 ~mode:Ra.Partition.Read with
       | Ra.Partition.Zeroed -> ()
       | Ra.Partition.Data _ -> Alcotest.fail "expected zeroed");
-      p.Ra.Partition.writeback ~seg ~page:0 (Bytes.make Ra.Page.size 'w');
+      p.Ra.Partition.writeback ~seg ~page:0
+        (Ra.Page.of_bytes (Bytes.make Ra.Page.size 'w'));
       match p.Ra.Partition.fetch ~seg ~page:0 ~mode:Ra.Partition.Read with
-      | Ra.Partition.Data d -> check_bool "written" true (Bytes.get d 0 = 'w')
+      | Ra.Partition.Data d -> check_bool "written" true ((d :> string).[0] = 'w')
       | Ra.Partition.Zeroed -> Alcotest.fail "expected data")
 
 (* ------------------------------------------------------------------ *)
 (* WAL *)
 
-let page_of_char c = Bytes.make Ra.Page.size c
+let page_of_char c = Ra.Page.of_bytes (Bytes.make Ra.Page.size c)
 
 let test_wal_recover_committed () =
   Sim.exec (fun () ->
@@ -148,7 +189,8 @@ let test_wal_recover_committed () =
       in
       Alcotest.(check (list (pair int int))) "applied" [ (1, 1) ] !applied;
       (match Store.Segment_store.read_page s seg 0 with
-      | Ra.Partition.Data d -> check_bool "committed applied" true (Bytes.get d 0 = 'a')
+      | Ra.Partition.Data d ->
+          check_bool "committed applied" true ((d :> string).[0] = 'a')
       | Ra.Partition.Zeroed -> Alcotest.fail "not applied");
       (* the undecided txn now has an abort marker *)
       let aborted =
@@ -278,7 +320,7 @@ let test_wal_undo_crash_window () =
       (* the before-image is sparse: logged trimmed, restored padded *)
       let before = Bytes.make Ra.Page.size '\000' in
       Bytes.blit_string "old" 0 before 0 3;
-      Store.Segment_store.write_page s seg 0 before;
+      Store.Segment_store.write_page s seg 0 (Ra.Page.of_bytes before);
       Store.Wal.append wal
         (Store.Wal.Prepared
            {
@@ -299,9 +341,8 @@ let test_wal_undo_crash_window () =
       Alcotest.(check (list (pair int int))) "nothing redone" [] !applied;
       (match Store.Segment_store.read_page s seg 0 with
       | Ra.Partition.Data d ->
-          check_int "full page restored" Ra.Page.size (Bytes.length d);
-          check_bool "before-image back" true
-            (Bytes.sub_string d 0 3 = "old" && Bytes.get d 3 = '\000')
+          Alcotest.(check string) "before-image back, as logged" "old"
+            (d :> string)
       | Ra.Partition.Zeroed -> Alcotest.fail "page lost");
       check_bool "abort logged" true
         (List.exists
@@ -312,25 +353,25 @@ let test_wal_trim_image () =
   let sparse = Bytes.make Ra.Page.size '\000' in
   Bytes.blit_string "payload" 0 sparse 0 7;
   check_int "sparse page trims to its payload" 7
-    (Bytes.length (Ra.Page.compact sparse));
+    (Ra.Page.length (Ra.Page.compact sparse));
   check_int "all-zero page trims to nothing" 0
-    (Bytes.length (Ra.Page.compact (Bytes.make Ra.Page.size '\000')));
+    (Ra.Page.length (Ra.Page.compact (Bytes.make Ra.Page.size '\000')));
   let full = Bytes.make Ra.Page.size 'x' in
   check_int "dense page keeps every byte" Ra.Page.size
-    (Bytes.length (Ra.Page.compact full));
+    (Ra.Page.length (Ra.Page.compact full));
   let last = Bytes.make Ra.Page.size '\000' in
   Bytes.set last (Ra.Page.size - 1) 'z';
   check_int "non-zero last byte keeps the page" Ra.Page.size
-    (Bytes.length (Ra.Page.compact last));
+    (Ra.Page.length (Ra.Page.compact last));
   (* a zero word between payload bytes is interior, not trailing *)
   let gap = Bytes.make Ra.Page.size '\000' in
   Bytes.set gap 0 'a';
   Bytes.set gap 21 'b';
-  check_int "interior zero words stay" 22 (Bytes.length (Ra.Page.compact gap));
+  check_int "interior zero words stay" 22 (Ra.Page.length (Ra.Page.compact gap));
   check_int "ragged length, zero tail" 3
-    (Bytes.length (Ra.Page.compact (Bytes.of_string "abc\000\000")));
+    (Ra.Page.length (Ra.Page.compact (Bytes.of_string "abc\000\000")));
   check_int "ragged length, dense" 11
-    (Bytes.length (Ra.Page.compact (Bytes.of_string "abcdefghijk")))
+    (Ra.Page.length (Ra.Page.compact (Bytes.of_string "abcdefghijk")))
 
 (* Pages that stress the word-at-a-time scan: all-zero, a prefix of
    random bytes (about half of them zero, so whole zero words appear
@@ -357,7 +398,7 @@ let page_arb =
   QCheck.make
     ~print:(fun b ->
       Printf.sprintf "page with compact length %d"
-        (Bytes.length (Ra.Page.compact b)))
+        (Ra.Page.length (Ra.Page.compact b)))
     page_gen
 
 let prop_compact_roundtrip =
@@ -368,20 +409,21 @@ let prop_compact_roundtrip =
       let seg = Ra.Sysname.fresh seg_gen in
       Store.Segment_store.create_segment s seg ~size:Ra.Page.size;
       Store.Segment_store.write_page s seg 0 c;
+      let c' = (c :> string) in
       let trimmed =
-        Bytes.length c = 0 || Bytes.get c (Bytes.length c - 1) <> '\000'
+        String.length c' = 0 || c'.[String.length c' - 1] <> '\000'
       in
       match Store.Segment_store.read_page s seg 0 with
       | Ra.Partition.Data d ->
-          trimmed
-          && Bytes.length d = Ra.Page.size
-          && Bytes.equal d b
+          trimmed && d == c
+          && (Ra.Page.widen d :> string) = Bytes.to_string b
+          && Bytes.equal (Ra.Page.to_frame d) b
       | Ra.Partition.Zeroed -> false)
 
 (* A loser's undo must not lose the committed image underneath it:
    the before-image the loser logged is the earlier winner's page,
    and after the undo the redo pass re-applies the winner's compact
-   image, which the store expands back to exactly the page it was. *)
+   image, which widens back to exactly the page it was. *)
 let test_wal_undo_then_redo_compact () =
   Sim.exec (fun () ->
       let eng = Sim.engine () in
@@ -399,7 +441,7 @@ let test_wal_undo_then_redo_compact () =
       Bytes.blit_string "acct" 0 winner 0 4;
       Bytes.set winner 1000 '\007';
       let redo = Ra.Page.compact winner in
-      check_int "winner logged compact" 1001 (Bytes.length redo);
+      check_int "winner logged compact" 1001 (Ra.Page.length redo);
       Store.Wal.append wal
         (Store.Wal.Prepared
            { txn = (1, 1); writes = [ (seg, 0, redo) ]; undo = [] });
@@ -410,7 +452,7 @@ let test_wal_undo_then_redo_compact () =
          before-image; its commit record dies in the buffer *)
       let before =
         match Store.Segment_store.read_page s seg 0 with
-        | Ra.Partition.Data b -> Some (Ra.Page.compact b)
+        | Ra.Partition.Data img -> Some (Ra.Page.trim img)
         | Ra.Partition.Zeroed -> None
       in
       let loser = Ra.Page.compact (Bytes.make Ra.Page.size 'L') in
@@ -432,7 +474,8 @@ let test_wal_undo_then_redo_compact () =
       Alcotest.(check (list (pair int int))) "winner redone" [ (1, 1) ] !applied;
       match Store.Segment_store.read_page s seg 0 with
       | Ra.Partition.Data d ->
-          check_bool "winner's page, byte for byte" true (Bytes.equal d winner)
+          check_bool "winner's page, byte for byte" true
+            (Bytes.equal (Ra.Page.to_frame d) winner)
       | Ra.Partition.Zeroed -> Alcotest.fail "page lost")
 
 (* A prepare record holds its images as they arrived, and the log
@@ -502,6 +545,8 @@ let () =
         [
           Alcotest.test_case "lifecycle" `Quick test_segment_lifecycle;
           Alcotest.test_case "pages" `Quick test_segment_pages;
+          Alcotest.test_case "images kept as written" `Quick
+            test_segment_images_as_written;
           Alcotest.test_case "local partition" `Quick test_local_partition;
         ] );
       ( "wal",
